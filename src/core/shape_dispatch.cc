@@ -60,7 +60,7 @@ std::vector<std::string> ShapeDispatchTable::Buckets() const {
 
 Status RunBucketedSubprogram(const ShapeDispatchTable::Entry& entry, size_t sub_index,
                              const BucketedModel& exact, const TensorEnv& exact_inputs,
-                             TensorEnv* exact_outputs, const BucketRunOptions& run) {
+                             TensorEnv* exact_outputs, JitExecutor* jit) {
   const BucketedModel& bucketed = entry.result.bucketed;
   if (sub_index >= bucketed.model.subprograms.size() ||
       sub_index >= exact.model.subprograms.size()) {
@@ -97,36 +97,20 @@ Status RunBucketedSubprogram(const ShapeDispatchTable::Entry& entry, size_t sub_
     SF_ASSIGN_OR_RETURN(bucket_env[id], PadToBucket(layout.inputs[i], exact_inputs[id],
                                                     exact_extents, bucket_extents));
   }
-  // Weights are shape-invariant between the exact and bucket configs;
-  // constants re-splat at the bucket shape.
+  // Weights are shape-invariant between the exact and bucket configs (the
+  // walker rejects one that is not); constants stay undefined, so the walker
+  // splats them at the bucket shape.
   for (TensorId weight : bucket_graph.WeightIds()) {
-    const size_t id = static_cast<size_t>(weight);
-    if (!exact_inputs[id].defined()) {
-      return InvalidArgument(
-          StrCat("exact weight ", exact_graph.tensor(weight).name, " is undefined"));
-    }
-    if (exact_inputs[id].shape() != bucket_graph.tensor(weight).shape) {
-      return InvalidArgument(StrCat("weight ", bucket_graph.tensor(weight).name,
-                                    " is not shape-invariant across the bucket"));
-    }
-    bucket_env[id] = exact_inputs[id];
-  }
-  for (const TensorInfo& t : bucket_graph.tensors()) {
-    if (t.kind == TensorKind::kConstant) {
-      bucket_env[static_cast<size_t>(t.id)] = Tensor::Full(t.shape, t.constant_value, t.dtype);
-    }
+    bucket_env[static_cast<size_t>(weight)] = exact_inputs[static_cast<size_t>(weight)];
   }
 
   const CompiledSubprogram& compiled =
       entry.result.compiled.unique_subprograms[entry.sub_to_unique[sub_index]];
   TensorEnv bucket_outputs;
-  if (run.backend == ExecBackend::kJit && run.jit != nullptr) {
-    SF_RETURN_IF_ERROR(run.jit->RunProgram(compiled.program, bucket_graph, bucket_env,
-                                           &bucket_outputs));
-  } else {
-    SF_RETURN_IF_ERROR(RunScheduledProgramWithBackend(run.backend, compiled.program, bucket_graph,
-                                                      bucket_env, &bucket_outputs));
-  }
+  SF_RETURN_IF_ERROR(
+      jit != nullptr
+          ? jit->RunProgram(compiled.program, bucket_graph, bucket_env, &bucket_outputs)
+          : RunScheduledProgram(compiled.program, bucket_graph, bucket_env, &bucket_outputs));
 
   const std::vector<TensorId> output_ids = bucket_graph.OutputIds();
   if (output_ids.size() != layout.outputs.size()) {

@@ -24,14 +24,6 @@
 
 namespace spacefusion {
 
-// How a dispatched subprogram executes. kJit uses `jit` when provided (e.g.
-// a JitExecutor sharing the engine's prewarmed kernel cache), else the
-// process-wide executor behind RunScheduledProgramWithBackend.
-struct BucketRunOptions {
-  ExecBackend backend = ExecBackend::kInterpret;
-  JitExecutor* jit = nullptr;
-};
-
 // Bucket label -> compiled bucket programs. Thread-safe; entries are stable
 // once added (Route/EntryFor pointers stay valid across later Adds).
 class ShapeDispatchTable {
@@ -73,14 +65,16 @@ class ShapeDispatchTable {
 // exact inputs (indexed by `exact`'s graph tensor ids, as MakeGraphInputs
 // lays them out) are padded to the bucket extents, the bucket's compiled
 // program runs, and the outputs are sliced back into *exact_outputs at the
-// exact graph's output ids (mirroring RunScheduledProgram's contract).
+// exact graph's output ids (mirroring RunScheduledProgram's contract). The
+// program runs on `jit` when given (e.g. a JitExecutor sharing the engine's
+// prewarmed kernel cache), else through the interpreter.
 //
 // `exact` must come from BuildModelBucketed at the request shape (identity
 // policy) — the factory guarantees tensor-id correspondence with the bucket
 // graphs, which is what makes id-indexed padding sound.
 Status RunBucketedSubprogram(const ShapeDispatchTable::Entry& entry, size_t sub_index,
                              const BucketedModel& exact, const TensorEnv& exact_inputs,
-                             TensorEnv* exact_outputs, const BucketRunOptions& run = {});
+                             TensorEnv* exact_outputs, JitExecutor* jit = nullptr);
 
 }  // namespace spacefusion
 

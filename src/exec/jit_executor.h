@@ -4,8 +4,10 @@
 // compiles it through the persistent JIT kernel cache (jit_cache), and runs
 // the resulting shared object. Every jit failure — emission, toolchain,
 // dlopen, corrupt cache entry — falls back to the schedule interpreter
-// (fallback ladder jit -> interpret), so SPACEFUSION_EXEC=jit can never
-// produce fewer answers than SPACEFUSION_EXEC=interpret, only faster ones.
+// (fallback ladder jit -> interpret), so JitExecutor::RunProgram can never
+// produce fewer answers than RunScheduledProgram, only faster ones. The
+// backend is chosen by which of the two the caller calls; both walk the
+// program through RunProgramKernels.
 //
 // Numerics: the emitted code replays the interpreter's exact per-element
 // operation order and is compiled with -ffp-contract=off, so outputs are
@@ -24,23 +26,12 @@
 
 namespace spacefusion {
 
-// Which executor runs a compiled schedule.
-enum class ExecBackend { kInterpret, kJit };
-
-const char* ExecBackendName(ExecBackend backend);
-
-// SPACEFUSION_EXEC={interpret,jit}; anything else (or unset) interprets.
-ExecBackend ExecBackendFromEnv();
-
 struct JitExecutorOptions {
   CppCodegenOptions codegen;
   // Kernel cache configuration. An empty dir resolves through
   // KernelCacheDirFromEnv() (SPACEFUSION_KERNEL_CACHE_DIR, then
   // "<SPACEFUSION_CACHE_DIR>/kernels", then a per-process temp dir).
   JitCacheOptions cache;
-  // Fall back to the interpreter when the jit path fails. Disable only in
-  // tests that assert on jit errors.
-  bool fallback_to_interpret = true;
 };
 
 class JitExecutor {
@@ -56,12 +47,8 @@ class JitExecutor {
   // outlive the executor.
   JitExecutor(JitExecutorOptions options, JitKernelCache* shared_cache);
 
-  // Executes one fused kernel's schedule over `env`, natively when
-  // possible. Mirrors RunSchedule's contract.
-  Status RunKernel(const SmgSchedule& schedule, TensorEnv* env);
-
-  // Executes a partitioned program: kernels in sequence, cut tensors handed
-  // between kernels by name. Mirrors RunScheduledProgram's contract.
+  // Executes a partitioned program natively: RunProgramKernels with
+  // RunKernel as the step. Mirrors RunScheduledProgram's contract.
   Status RunProgram(const ScheduledProgram& program, const Graph& original,
                     const TensorEnv& original_inputs, TensorEnv* final_outputs);
 
@@ -69,6 +56,9 @@ class JitExecutor {
   Stats stats() const;
 
  private:
+  // Executes one fused kernel's schedule over `env`, natively when
+  // possible, else through RunSchedule. Mirrors RunSchedule's contract.
+  Status RunKernel(const SmgSchedule& schedule, TensorEnv* env);
   Status TryRunJit(const SmgSchedule& schedule, TensorEnv* env);
 
   JitExecutorOptions options_;
@@ -78,12 +68,6 @@ class JitExecutor {
   mutable Mutex mu_;
   Stats stats_ SF_GUARDED_BY(mu_);
 };
-
-// Convenience dispatch: kInterpret calls RunScheduledProgram; kJit runs a
-// process-wide JitExecutor with default (environment-driven) options.
-Status RunScheduledProgramWithBackend(ExecBackend backend, const ScheduledProgram& program,
-                                      const Graph& original, const TensorEnv& original_inputs,
-                                      TensorEnv* final_outputs);
 
 }  // namespace spacefusion
 

@@ -209,17 +209,35 @@ Status RunSchedule(const SmgSchedule& schedule, TensorEnv* env) {
   return Status::Ok();
 }
 
-Status RunScheduledProgram(const ScheduledProgram& program, const Graph& original,
-                           const TensorEnv& original_inputs, TensorEnv* final_outputs) {
-  ScopedSpan span("exec.run_program", "exec");
+Status RunProgramKernels(const char* span_name, const ScheduledProgram& program,
+                         const Graph& original, const TensorEnv& original_inputs,
+                         const KernelStep& step, TensorEnv* final_outputs) {
+  ScopedSpan span(span_name, "exec");
   span.Arg("graph", original.name())
       .Arg("kernels", static_cast<std::int64_t>(program.kernels.size()));
+  if (original_inputs.size() != original.tensors().size()) {
+    return InvalidArgument(StrCat("input env has ", original_inputs.size(), " slots for graph ",
+                                  original.name(), "'s ", original.tensors().size(),
+                                  " tensors"));
+  }
   std::map<std::string, Tensor> by_name;
   for (const TensorInfo& t : original.tensors()) {
-    if (t.kind == TensorKind::kInput || t.kind == TensorKind::kWeight ||
-        t.kind == TensorKind::kConstant) {
-      by_name[t.name] = original_inputs[static_cast<size_t>(t.id)];
+    if (t.kind == TensorKind::kIntermediate || t.kind == TensorKind::kOutput) {
+      continue;
     }
+    const Tensor& given = original_inputs[static_cast<size_t>(t.id)];
+    if (!given.defined()) {
+      if (t.kind == TensorKind::kConstant) {
+        continue;  // splatted by each kernel that reads it
+      }
+      return InvalidArgument(StrCat("tensor ", t.name, " is undefined"));
+    }
+    if (given.shape() != t.shape) {
+      return InvalidArgument(StrCat("tensor ", t.name, " has shape ", given.shape().ToString(),
+                                    ", graph ", original.name(), " expects ",
+                                    t.shape.ToString()));
+    }
+    by_name[t.name] = given;
   }
 
   for (const SmgSchedule& kernel : program.kernels) {
@@ -238,7 +256,7 @@ Status RunScheduledProgram(const ScheduledProgram& program, const Graph& origina
         return Internal(StrCat("kernel ", graph.name(), " misses input ", t.name));
       }
     }
-    SF_RETURN_IF_ERROR(RunSchedule(kernel, &env));
+    SF_RETURN_IF_ERROR(step(kernel, &env));
     for (const TensorInfo& t : graph.tensors()) {
       if (t.kind == TensorKind::kOutput) {
         by_name[t.name] = env[static_cast<size_t>(t.id)];
@@ -257,6 +275,12 @@ Status RunScheduledProgram(const ScheduledProgram& program, const Graph& origina
     }
   }
   return Status::Ok();
+}
+
+Status RunScheduledProgram(const ScheduledProgram& program, const Graph& original,
+                           const TensorEnv& original_inputs, TensorEnv* final_outputs) {
+  return RunProgramKernels("exec.run_program", program, original, original_inputs, RunSchedule,
+                           final_outputs);
 }
 
 }  // namespace spacefusion

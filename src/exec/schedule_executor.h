@@ -17,6 +17,8 @@
 #ifndef SPACEFUSION_SRC_EXEC_SCHEDULE_EXECUTOR_H_
 #define SPACEFUSION_SRC_EXEC_SCHEDULE_EXECUTOR_H_
 
+#include <functional>
+
 #include "src/exec/reference_executor.h"
 #include "src/schedule/schedule_ir.h"
 #include "src/support/status.h"
@@ -27,8 +29,23 @@ namespace spacefusion {
 // outputs/intermediates are written).
 Status RunSchedule(const SmgSchedule& schedule, TensorEnv* env);
 
-// Executes a partitioned program: kernels in sequence, cut tensors handed
-// from one kernel's outputs to the next kernel's inputs by name.
+// One fused kernel's execution over its own env (RunSchedule, or a native
+// backend's kernel step).
+using KernelStep = std::function<Status(const SmgSchedule&, TensorEnv*)>;
+
+// The program walker every backend shares. Checks `original_inputs` against
+// `original` (InvalidArgument naming the tensor when the env is the wrong
+// size, or an input or weight is undefined or wrongly shaped; undefined
+// constants are splatted), then runs `program.kernels` in sequence through
+// `step`, handing cut tensors from one kernel's outputs to the next kernel's
+// inputs by name, and fills the graph outputs of *final_outputs. The whole
+// walk is one `span_name` trace span.
+Status RunProgramKernels(const char* span_name, const ScheduledProgram& program,
+                         const Graph& original, const TensorEnv& original_inputs,
+                         const KernelStep& step, TensorEnv* final_outputs);
+
+// Executes a partitioned program through the interpreter: RunProgramKernels
+// with RunSchedule as the step.
 Status RunScheduledProgram(const ScheduledProgram& program, const Graph& original,
                            const TensorEnv& original_inputs, TensorEnv* final_outputs);
 

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -136,8 +135,8 @@ TEST_F(JitExecutorTest, SwigluFfnMatchesInterpreter) {
   ExpectJitMatchesInterpreter(g, /*seed=*/16, SharedExecutor());
 }
 
-// Acceptance criterion: SPACEFUSION_EXEC=jit runs all 5 zoo models with
-// outputs matching the interpreter within the documented tolerance.
+// Acceptance criterion: JitExecutor runs all 5 zoo models with outputs
+// matching the interpreter within the documented tolerance.
 TEST_F(JitExecutorTest, AllZooModelsMatchInterpreter) {
   for (ModelKind kind : AllModelKinds()) {
     ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/64));
@@ -429,27 +428,55 @@ TEST_F(CppCodegenTest, ReferenceModeMatchesInterpreter) {
   EXPECT_EQ(executor.stats().fallbacks, 0);
 }
 
-TEST(JitBackendTest, ExecBackendFromEnvParses) {
-  const char* saved = std::getenv("SPACEFUSION_EXEC");
-  std::string saved_value = saved != nullptr ? saved : "";
+// The program walker both backends share rejects a malformed input env with
+// InvalidArgument naming the offending tensor, before any kernel runs — so
+// the JIT never miscounts a bad env as a kernel fallback. Param: true runs
+// JitExecutor::RunProgram, false RunScheduledProgram.
+class ProgramWalkerTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void TearDown() override { ResetGlobalThreadPool(); }
+};
 
-  ::unsetenv("SPACEFUSION_EXEC");
-  EXPECT_EQ(ExecBackendFromEnv(), ExecBackend::kInterpret);
-  ::setenv("SPACEFUSION_EXEC", "interpret", 1);
-  EXPECT_EQ(ExecBackendFromEnv(), ExecBackend::kInterpret);
-  ::setenv("SPACEFUSION_EXEC", "jit", 1);
-  EXPECT_EQ(ExecBackendFromEnv(), ExecBackend::kJit);
-  ::setenv("SPACEFUSION_EXEC", "warp-drive", 1);
-  EXPECT_EQ(ExecBackendFromEnv(), ExecBackend::kInterpret);
+TEST_P(ProgramWalkerTest, MalformedInputEnvIsInvalidArgument) {
+  const Graph g = BuildLayerNormGraph(/*m=*/8, /*n=*/16);
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  JitExecutorOptions options;
+  options.cache.dir = UniqueTestDir("walker");
+  JitExecutor jit(options);
+  auto run = [&](const TensorEnv& inputs) {
+    TensorEnv outputs;
+    return GetParam() ? jit.RunProgram(compiled->program, g, inputs, &outputs)
+                      : RunScheduledProgram(compiled->program, g, inputs, &outputs);
+  };
 
-  if (saved != nullptr) {
-    ::setenv("SPACEFUSION_EXEC", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("SPACEFUSION_EXEC");
+  const TensorEnv good = MakeGraphInputs(g, /*seed=*/51);
+  const TensorInfo& x = g.tensor(g.InputIds()[0]);
+  const TensorInfo& gamma = g.tensor(g.WeightIds()[0]);
+  TensorEnv short_env(good.begin(), good.end() - 1);
+  TensorEnv undefined_weight = good;
+  undefined_weight[static_cast<size_t>(gamma.id)] = Tensor();
+  TensorEnv misshaped_input = good;
+  misshaped_input[static_cast<size_t>(x.id)] = Tensor::Zeros(Shape({8, 17}), x.dtype);
+
+  const struct {
+    const TensorEnv& env;
+    const std::string& name;
+  } cases[] = {{short_env, g.name()}, {undefined_weight, gamma.name}, {misshaped_input, x.name}};
+  for (const auto& c : cases) {
+    const Status st = run(c.env);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(c.name), std::string::npos) << st.ToString();
   }
-  EXPECT_STREQ(ExecBackendName(ExecBackend::kJit), "jit");
-  EXPECT_STREQ(ExecBackendName(ExecBackend::kInterpret), "interpret");
+  EXPECT_EQ(jit.stats().fallbacks, 0);
+  EXPECT_EQ(jit.stats().jit_runs, 0);
+  EXPECT_TRUE(run(good).ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, ProgramWalkerTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Jit" : "Interpreter";
+                         });
 
 // ---------------------------------------------------------------------------
 // Engine prewarm: with prewarm_jit + a cache_dir, a cold engine builds every
