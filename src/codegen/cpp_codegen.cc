@@ -873,6 +873,34 @@ StatusOr<CppKernel> CppEmitter::Emit() {
 
 }  // namespace
 
+std::uint64_t CppKernelBindingKey(const SmgSchedule& schedule, const CppCodegenOptions& options) {
+  std::uint64_t h = HashCombine(schedule.graph.StructuralHash(), CppCodegenOptionsDigest(options));
+  auto mix = [&h](std::int64_t v) { h = HashCombine(h, static_cast<std::uint64_t>(v)); };
+  mix(static_cast<std::int64_t>(schedule.spatial.size()));
+  for (const DimSlice& slice : schedule.spatial) {
+    mix(slice.dim);
+    mix(slice.block);
+  }
+  mix(schedule.has_temporal ? 1 : 0);
+  mix(schedule.temporal.dim);
+  mix(schedule.temporal.block);
+  const TemporalPlan& plan = schedule.plan;
+  mix(plan.dim);
+  mix(static_cast<std::int64_t>(plan.aggregations.size()));
+  for (const ReductionAggregation& agg : plan.aggregations) {
+    mix(agg.op);
+    mix(static_cast<std::int64_t>(agg.combiner));
+    mix(agg.finalize_divide_by_extent ? 1 : 0);
+    mix(static_cast<std::int64_t>(agg.update.size()));
+    for (const UpdateFactor& factor : agg.update) {
+      mix(static_cast<std::int64_t>(factor.prim));
+      mix(factor.source);
+      mix(factor.power);
+    }
+  }
+  return h;
+}
+
 StatusOr<CppKernel> EmitCppKernel(const SmgSchedule& schedule, const CppCodegenOptions& options) {
   CppEmitter emitter(schedule, options);
   return emitter.Emit();

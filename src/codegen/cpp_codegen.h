@@ -48,6 +48,16 @@ struct CppCodegenOptions {
 // Digest of every emission-affecting option; part of the kernel cache key.
 std::uint64_t CppCodegenOptionsDigest(const CppCodegenOptions& options);
 
+// Identity of the kernel EmitCppKernel(schedule, options) would emit, for
+// binding a kernel once without re-emitting it: mixes the graph's
+// StructuralHash, the options digest, the spatial and temporal slices, and
+// the temporal aggregation plan. Names (which reach the source only as
+// comments), the memory plan (not read by the emitter) and `built` (a
+// function of the graph) are left out, so a renamed copy of a graph keys
+// equal. Equal keys imply equal emitted code up to comments and symbol.
+std::uint64_t CppKernelBindingKey(const SmgSchedule& schedule,
+                                  const CppCodegenOptions& options = CppCodegenOptions());
+
 // Signature of a compiled kernel entry point.
 using CppKernelFn = int (*)(const float* const* in, float* const* out, float* scratch);
 

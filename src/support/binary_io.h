@@ -76,6 +76,11 @@ class ByteReader {
 std::uint64_t Fnv1a64(const char* data, size_t n);
 inline std::uint64_t Fnv1a64(const std::string& s) { return Fnv1a64(s.data(), s.size()); }
 
+// Folds `v` into the running hash `h` (boost::hash_combine's mixing step).
+inline std::uint64_t HashCombine(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
+}
+
 }  // namespace spacefusion
 
 #endif  // SPACEFUSION_SRC_SUPPORT_BINARY_IO_H_

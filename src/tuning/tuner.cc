@@ -11,16 +11,13 @@
 #include "src/obs/trace.h"
 #include "src/schedule/lowering.h"
 #include "src/sim/cost_cache.h"
+#include "src/support/binary_io.h"
 #include "src/support/logging.h"
 #include "src/support/thread_pool.h"
 
 namespace spacefusion {
 
 namespace {
-
-std::uint64_t HashCombine(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
-}
 
 // Identity of a schedule template for cost-cache keying: the same graph
 // with the same slicing decisions on the same hardware lowers to the same

@@ -14,8 +14,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/codegen/cpp_codegen.h"
@@ -96,6 +101,19 @@ void ExpectJitMatchesInterpreter(const Graph& g, std::uint64_t seed, JitExecutor
   }
 }
 
+// Every graph output of `got` has exactly the bits of `want`'s.
+void ExpectBitIdenticalOutputs(const Graph& g, const TensorEnv& got, const TensorEnv& want) {
+  for (TensorId out : g.OutputIds()) {
+    const Tensor& a = got[static_cast<size_t>(out)];
+    const Tensor& b = want[static_cast<size_t>(out)];
+    ASSERT_TRUE(a.defined() && b.defined()) << g.tensor(out).name;
+    ASSERT_EQ(a.shape(), b.shape()) << g.tensor(out).name;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), static_cast<size_t>(a.volume()) * sizeof(float)),
+              0)
+        << "outputs differ in " << g.tensor(out).name;
+  }
+}
+
 class JitExecutorTest : public ::testing::Test {
  protected:
   void TearDown() override { ResetGlobalThreadPool(); }
@@ -162,7 +180,10 @@ TEST_F(JitExecutorTest, AllZooModelsMatchInterpreter) {
 }
 
 // A broken toolchain must not break execution: every kernel falls back to
-// the interpreter and the program still produces reference answers.
+// the interpreter and the program still produces reference answers. The
+// failed build binds the kernel to the interpreter, so the toolchain runs
+// once per kernel on the first call and never again, while every call
+// still counts its fallbacks.
 TEST_F(JitExecutorTest, BrokenToolchainFallsBackToInterpreter) {
   JitExecutorOptions options;
   options.cache.dir = UniqueTestDir("broken-toolchain");
@@ -171,9 +192,106 @@ TEST_F(JitExecutorTest, BrokenToolchainFallsBackToInterpreter) {
 
   Graph g = BuildLayerNormGraph(/*m=*/16, /*n=*/32);
   ExpectJitMatchesInterpreter(g, /*seed=*/21, executor, /*tolerance=*/0.0f);
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::int64_t kernels = static_cast<std::int64_t>(compiled->program.kernels.size());
+  EXPECT_EQ(executor.cache().stats().toolchain_invocations, kernels);
+  EXPECT_EQ(executor.stats().fallbacks, kernels);
+
+  // Two more calls, on a recompiled (equal) program: no toolchain run.
+  TensorEnv inputs = MakeGraphInputs(g, /*seed=*/21);
+  TensorEnv interpreted;
+  ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &interpreted).ok());
+  for (int call = 2; call <= 3; ++call) {
+    TensorEnv jitted;
+    Status st = executor.RunProgram(compiled->program, g, inputs, &jitted);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ExpectBitIdenticalOutputs(g, jitted, interpreted);
+    EXPECT_EQ(executor.cache().stats().toolchain_invocations, kernels);
+    EXPECT_EQ(executor.stats().fallbacks, call * kernels);
+  }
   EXPECT_EQ(executor.stats().jit_runs, 0);
-  EXPECT_GT(executor.stats().fallbacks, 0);
   EXPECT_GT(executor.cache().stats().failures, 0);
+}
+
+// Warm path: once every kernel is bound, a call neither emits nor consults
+// the kernel cache — no memory hit, disk hit or build — and only launches.
+TEST_F(JitExecutorTest, WarmCallsSkipEmissionAndCacheLookup) {
+  JitExecutorOptions options;
+  options.cache.dir = UniqueTestDir("warm-path");
+  JitExecutor executor(options);
+
+  Graph g = BuildMha(/*batch_heads=*/2, /*seq_q=*/16, /*seq_kv=*/32, /*head_dim=*/8);
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::int64_t kernels = static_cast<std::int64_t>(compiled->program.kernels.size());
+  TensorEnv inputs = MakeGraphInputs(g, /*seed=*/22);
+  TensorEnv first;
+  ASSERT_TRUE(executor.RunProgram(compiled->program, g, inputs, &first).ok());
+  const JitKernelCache::Stats bound = executor.cache().stats();
+  EXPECT_EQ(bound.builds, kernels);
+  EXPECT_EQ(executor.stats().jit_runs, kernels);
+
+  for (int call = 0; call < 20; ++call) {
+    TensorEnv again;
+    Status st = executor.RunProgram(compiled->program, g, inputs, &again);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ExpectBitIdenticalOutputs(g, again, first);
+  }
+  const JitKernelCache::Stats warm = executor.cache().stats();
+  EXPECT_EQ(warm.memory_hits, bound.memory_hits);
+  EXPECT_EQ(warm.disk_hits, bound.disk_hits);
+  EXPECT_EQ(warm.builds, bound.builds);
+  EXPECT_EQ(warm.toolchain_invocations, bound.toolchain_invocations);
+  EXPECT_EQ(executor.stats().jit_runs, 21 * kernels);
+  EXPECT_EQ(executor.stats().fallbacks, 0);
+}
+
+// JIT binding memo under concurrency: threads binding the same kernels at
+// once all get correct answers, and the kernel cache builds each kernel
+// exactly once.
+TEST_F(JitExecutorTest, ConcurrentRunsBindEachKernelOnce) {
+  JitExecutorOptions options;
+  options.cache.dir = UniqueTestDir("concurrent");
+  JitExecutor executor(options);
+
+  Graph g = BuildAttnOut(/*tokens=*/8, /*hidden=*/768, NormKind::kLayerNorm);
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::int64_t kernels = static_cast<std::int64_t>(compiled->program.kernels.size());
+  ASSERT_GT(kernels, 1);
+  TensorEnv inputs = MakeGraphInputs(g, /*seed=*/23);
+  TensorEnv interpreted;
+  ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &interpreted).ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 3;
+  std::vector<std::vector<TensorEnv>> outputs(kThreads,
+                                              std::vector<TensorEnv>(kCallsPerThread));
+  std::vector<Status> statuses(kThreads * kCallsPerThread);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int c = 0; c < kCallsPerThread; ++c) {
+        statuses[static_cast<size_t>(t * kCallsPerThread + c)] = executor.RunProgram(
+            compiled->program, g, inputs, &outputs[static_cast<size_t>(t)][static_cast<size_t>(c)]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const Status& st : statuses) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  for (const std::vector<TensorEnv>& per_thread : outputs) {
+    for (const TensorEnv& out : per_thread) {
+      ExpectBitIdenticalOutputs(g, out, interpreted);
+    }
+  }
+  EXPECT_EQ(executor.cache().stats().builds, kernels);
+  EXPECT_EQ(executor.stats().jit_runs, kThreads * kCallsPerThread * kernels);
+  EXPECT_EQ(executor.stats().fallbacks, 0);
 }
 
 // Differential corpus: random graphs, one executor, jit vs interpreter.
@@ -411,6 +529,118 @@ TEST_F(CppCodegenTest, OptionsChangeTheKey) {
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->key, b->key);
   EXPECT_NE(CppCodegenOptionsDigest(plain), CppCodegenOptionsDigest(reference));
+}
+
+// The code a kernel runs: its emitted source without comment lines, and
+// with the symbol (a hash of the whole source, comments included) replaced
+// by a placeholder.
+std::string CodeOf(const CppKernel& kernel) {
+  std::string code;
+  std::istringstream lines(kernel.source);
+  for (std::string line; std::getline(lines, line);) {
+    const size_t first = line.find_first_not_of(' ');
+    if (first != std::string::npos && line.compare(first, 2, "//") == 0) {
+      continue;
+    }
+    const size_t sym = line.find(kernel.symbol);
+    if (sym != std::string::npos) {
+      line.replace(sym, kernel.symbol.size(), "@SYM@");
+    }
+    code += line + "\n";
+  }
+  return code;
+}
+
+// The binding memo is sound only if the key covers everything the emitter
+// reads: over every kernel of the zoo models, the random-graph corpus and
+// one schedule under two block-size configs, equal CppKernelBindingKey <=>
+// equal emitted code.
+TEST_F(CppCodegenTest, BindingKeyCoversEveryEmitterInput) {
+  std::vector<SmgSchedule> schedules;
+  auto add_program = [&](const Graph& g) {
+    StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+    ASSERT_TRUE(compiled.ok()) << g.name() << ": " << compiled.status().ToString();
+    for (const SmgSchedule& kernel : compiled->program.kernels) {
+      schedules.push_back(kernel);
+    }
+  };
+  for (ModelKind kind : AllModelKinds()) {
+    ModelGraph model = BuildModel(GetModelConfig(kind, /*batch=*/1, /*seq=*/32));
+    std::set<std::uint64_t> seen;
+    for (const Subprogram& sub : model.subprograms) {
+      if (seen.insert(sub.graph.StructuralHash()).second) {
+        add_program(sub.graph);
+      }
+    }
+  }
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    add_program(RandomGraph(seed * 7919 + 3));
+  }
+  // One temporally sliced schedule under two temporal steps, spatial blocks
+  // unchanged: both slice the dim into several intra-blocks, so the code
+  // differs and so must the key.
+  {
+    StatusOr<CompiledSubprogram> compiled = CompileGraph(BuildMha(2, 16, 64, 8));
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const SmgSchedule& tuned = compiled->program.kernels[0];
+    ASSERT_TRUE(tuned.has_temporal);
+    for (std::int64_t step : {16, 32}) {
+      SmgSchedule configured = tuned;
+      ScheduleConfig config;
+      for (const DimSlice& slice : configured.spatial) {
+        config.spatial_blocks.push_back(slice.block);
+      }
+      config.temporal_step = step;
+      config.use_temporal = true;
+      configured.ApplyConfig(config);
+      ASSERT_GT(configured.NumIntraBlocks(), 1);
+      schedules.push_back(configured);
+    }
+  }
+
+  std::map<std::uint64_t, std::string> code_of_key;
+  std::map<std::string, std::uint64_t> key_of_code;
+  for (const SmgSchedule& schedule : schedules) {
+    StatusOr<CppKernel> kernel = EmitCppKernel(schedule);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    const std::uint64_t key = CppKernelBindingKey(schedule);
+    const std::string code = CodeOf(kernel.value());
+    auto [by_key, new_key] = code_of_key.emplace(key, code);
+    EXPECT_TRUE(new_key || by_key->second == code)
+        << "equal binding keys, different code: " << schedule.ToString();
+    auto [by_code, new_code] = key_of_code.emplace(code, key);
+    EXPECT_TRUE(new_code || by_code->second == key)
+        << "equal code, different binding keys: " << schedule.ToString();
+  }
+  EXPECT_GT(code_of_key.size(), schedules.size() / 2);
+
+  // Names reach the source only as comments: a renamed copy keys equal.
+  const SmgSchedule& original = schedules.front();
+  Graph renamed("renamed_" + original.graph.name());
+  for (TensorInfo t : original.graph.tensors()) {
+    t.name = "renamed_" + t.name;
+    renamed.AddTensor(t);
+  }
+  for (Op op : original.graph.ops()) {
+    op.name = "renamed_" + op.name;
+    renamed.AddOp(op);
+  }
+  SmgSchedule copy = original;
+  copy.graph = renamed;
+  EXPECT_EQ(CppKernelBindingKey(copy), CppKernelBindingKey(original));
+  StatusOr<CppKernel> renamed_kernel = EmitCppKernel(copy);
+  StatusOr<CppKernel> original_kernel = EmitCppKernel(original);
+  ASSERT_TRUE(renamed_kernel.ok() && original_kernel.ok());
+  EXPECT_NE(renamed_kernel->source, original_kernel->source);
+  EXPECT_EQ(CodeOf(renamed_kernel.value()), CodeOf(original_kernel.value()));
+
+  // Every emission-affecting option changes the key.
+  CppCodegenOptions reference;
+  reference.reference_mode = true;
+  CppCodegenOptions unfused;
+  unfused.fuse_elementwise = false;
+  EXPECT_NE(CppKernelBindingKey(original, reference), CppKernelBindingKey(original));
+  EXPECT_NE(CppKernelBindingKey(original, unfused), CppKernelBindingKey(original));
 }
 
 // reference_mode disables temporal slicing and fused elementwise chains;
