@@ -30,7 +30,94 @@ namespace {
 
 // Emitter revision: mixed into every kernel key so stale cached .so files
 // from an older emitter can never be served for a new emission scheme.
-constexpr const char* kEmitterVersion = "sfcpp-v1";
+constexpr const char* kEmitterVersion = "sfcpp-v2";
+
+// Kernels include no header: parsing <cmath> and its kin was most of a
+// kernel's build time. The emitted code instead calls the builtins that
+// libstdc++'s std::exp, std::tanh and std::sqrt themselves wrap.
+constexpr const char* kPrelude = "typedef __INT64_TYPE__ int64_t;\n";
+
+// Matmuls with at least this many rows of C use sf_matmul; smaller ones keep
+// the row loops, since packing a B panel that a single row tile reads costs
+// more than it saves.
+constexpr std::int64_t kTileMinRows = 8;
+
+// The register-tiled matmul, emitted once into each kernel that uses it:
+// C[M,N] = A[M,K] * B[K,N] with A(i,k) = a[i*SAI + k*SAK],
+// B(k,j) = b[k*SBK + j*SBJ] and C(i,j) = c[i*LDC + j]. For each 16-column
+// panel of C, every 256-deep k block of B is packed into a 16 KB stack
+// buffer, and each 4x16 tile of C accumulates in registers: from 0.0f in
+// the first block, from the partial sums it stored in later ones. Every
+// C(i,j) is therefore 0.0f plus A(i,k) * B(k,j) in ascending k, one mul and
+// one add at a time, exactly the interpreter's order. The M, N and K
+// remainders are template arguments too, so every trip count is constant.
+constexpr const char* kTilePrelude = R"(
+// Out of line on purpose: inlined into its caller, GCC turns the
+// accumulator copies into memcpy calls and keeps the tile in memory.
+template <int R, int C, int64_t KN, int64_t SAI, int64_t SAK, int64_t LDC>
+__attribute__((noinline)) static void sf_mm_tile(const float* __restrict__ a,
+                                                 const float* __restrict__ bp,
+                                                 float* __restrict__ c, bool first) {
+  float acc[R][16];
+  for (int r = 0; r < R; ++r)
+    for (int j = 0; j < 16; ++j) acc[r][j] = (first || j >= C) ? 0.0f : c[r * LDC + j];
+  for (int64_t kk = 0; kk < KN; ++kk)
+    for (int r = 0; r < R; ++r) {
+      const float av = a[r * SAI + kk * SAK];
+      for (int j = 0; j < 16; ++j) acc[r][j] += av * bp[kk * 16 + j];
+    }
+  for (int r = 0; r < R; ++r)
+    for (int j = 0; j < C; ++j) c[r * LDC + j] = acc[r][j];
+}
+template <int C, int64_t M, int64_t KN, int64_t SAI, int64_t SAK, int64_t SBK, int64_t SBJ,
+          int64_t LDC>
+static inline void sf_mm_block(const float* a, const float* b, float* c, bool first) {
+  alignas(64) float bp[KN * 16];
+  for (int64_t kk = 0; kk < KN; ++kk)
+    for (int j = 0; j < 16; ++j) bp[kk * 16 + j] = j < C ? b[kk * SBK + j * SBJ] : 0.0f;
+  for (int64_t i = 0; i + 4 <= M; i += 4)
+    sf_mm_tile<4, C, KN, SAI, SAK, LDC>(a + i * SAI, bp, c + i * LDC, first);
+  if constexpr (M % 4 != 0)
+    sf_mm_tile<M % 4, C, KN, SAI, SAK, LDC>(a + (M - M % 4) * SAI, bp, c + (M - M % 4) * LDC,
+                                            first);
+}
+template <int C, int64_t M, int64_t K, int64_t SAI, int64_t SAK, int64_t SBK, int64_t SBJ,
+          int64_t LDC>
+__attribute__((noinline)) static void sf_mm_panel(const float* a, const float* b, float* c) {
+  constexpr int64_t KB = 256;
+  int64_t k0 = 0;
+  for (; k0 + KB <= K; k0 += KB)
+    sf_mm_block<C, M, KB, SAI, SAK, SBK, SBJ, LDC>(a + k0 * SAK, b + k0 * SBK, c, k0 == 0);
+  if constexpr (K % KB != 0)
+    sf_mm_block<C, M, K % KB, SAI, SAK, SBK, SBJ, LDC>(a + k0 * SAK, b + k0 * SBK, c, k0 == 0);
+}
+template <int64_t M, int64_t N, int64_t K, int64_t SAI, int64_t SAK, int64_t SBK, int64_t SBJ,
+          int64_t LDC>
+static void sf_matmul(const float* a, const float* b, float* c) {
+  for (int64_t j0 = 0; j0 + 16 <= N; j0 += 16)
+    sf_mm_panel<16, M, K, SAI, SAK, SBK, SBJ, LDC>(a, b + j0 * SBJ, c + j0);
+  if constexpr (N % 16 != 0)
+    sf_mm_panel<N % 16, M, K, SAI, SAK, SBK, SBJ, LDC>(a, b + (N - N % 16) * SBJ,
+                                                       c + (N - N % 16));
+}
+)";
+
+// The code of a translation unit: its lines minus comment-only ones. Kernel
+// keys hash this, so kernels that differ only in names share one build.
+std::string CodeOf(const std::string& src) {
+  std::string code;
+  size_t start = 0;
+  while (start < src.size()) {
+    size_t end = src.find('\n', start);
+    end = end == std::string::npos ? src.size() : end + 1;
+    const size_t first = src.find_first_not_of(' ', start);
+    if (first >= end || src.compare(first, 2, "//") != 0) {
+      code.append(src, start, end - start);
+    }
+    start = end;
+  }
+  return code;
+}
 
 std::string I64(std::int64_t v) { return std::to_string(v); }
 
@@ -142,6 +229,8 @@ class CppEmitter {
 
   std::vector<std::pair<std::string, std::int64_t>> scratch_bufs_;  // (name, offset)
   std::int64_t scratch_floats_ = 0;
+
+  bool uses_tile_ = false;  // some matmul calls the kTilePrelude routine
 
   std::string body_;
   int indent_ = 1;
@@ -341,7 +430,7 @@ int CppEmitter::OpenLoops(const std::vector<std::int64_t>& dims,
       continue;
     }
     std::string v = NewVar("i");
-    Line("for (std::int64_t " + v + " = 0; " + v + " < " + I64(d) + "; ++" + v + ") {");
+    Line("for (int64_t " + v + " = 0; " + v + " < " + I64(d) + "; ++" + v + ") {");
     ++indent_;
     ++opened;
     coords->push_back(v);
@@ -391,20 +480,20 @@ namespace detail {
 std::string UnaryExpr(UnaryKind kind, const std::string& x) {
   switch (kind) {
     case UnaryKind::kExp:
-      return "std::exp(" + x + ")";
+      return "__builtin_expf(" + x + ")";
     case UnaryKind::kRelu:
       return "(" + x + " > 0.0f ? " + x + " : 0.0f)";
     case UnaryKind::kGelu:
-      return "0.5f * " + x + " * (1.0f + std::tanh(0.7978845608f * (" + x + " + 0.044715f * " +
-             x + " * " + x + " * " + x + ")))";
+      return "0.5f * " + x + " * (1.0f + __builtin_tanhf(0.7978845608f * (" + x +
+             " + 0.044715f * " + x + " * " + x + " * " + x + ")))";
     case UnaryKind::kSigmoid:
-      return "1.0f / (1.0f + std::exp(-" + x + "))";
+      return "1.0f / (1.0f + __builtin_expf(-" + x + "))";
     case UnaryKind::kTanh:
-      return "std::tanh(" + x + ")";
+      return "__builtin_tanhf(" + x + ")";
     case UnaryKind::kSqrt:
-      return "std::sqrt(" + x + ")";
+      return "__builtin_sqrtf(" + x + ")";
     case UnaryKind::kRsqrt:
-      return "1.0f / std::sqrt(" + x + ")";
+      return "1.0f / __builtin_sqrtf(" + x + ")";
     case UnaryKind::kNeg:
       return "-" + x;
     case UnaryKind::kSquare:
@@ -470,15 +559,15 @@ void CppEmitter::EmitReduceTo(const Op& op, ReduceKind kind, const Layout& out,
   int opened = OpenLoops(outer, &coords);
   std::string acc = NewVar("acc");
   Line("float " + acc + " = " +
-       (kind == ReduceKind::kMax ? "-std::numeric_limits<float>::infinity()" : "0.0f") + ";");
+       (kind == ReduceKind::kMax ? "-__builtin_huge_valf()" : "0.0f") + ";");
   std::string r = NewVar("r");
-  Line("for (std::int64_t " + r + " = 0; " + r + " < " + I64(last) + "; ++" + r + ") {");
+  Line("for (int64_t " + r + " = 0; " + r + " < " + I64(last) + "; ++" + r + ") {");
   ++indent_;
   std::vector<std::string> in_coords = coords;
   in_coords.push_back(r);
   std::string x = EmitLoad(in, in_coords, width);
   if (kind == ReduceKind::kMax) {
-    Line(acc + " = std::max(" + acc + ", " + x + ");");
+    Line(acc + " = (" + acc + " < " + x + " ? " + x + " : " + acc + ");");
   } else {
     Line(acc + " += " + x + ";");
   }
@@ -527,8 +616,30 @@ Status CppEmitter::EmitMatMulTo(const Op& op, const Layout& out, std::int64_t wi
   std::vector<std::string> batch;
   int opened = OpenLoops(batch_dims, &batch);
 
+  if (m >= kTileMinRows) {
+    // Register-tiled form (kTilePrelude): extents and both operands'
+    // element strides, transposes folded in, are template arguments.
+    SF_CHECK_EQ(out.strides.back(), 1);
+    uses_tile_ = true;
+    const std::int64_t a_row = a.strides[static_cast<size_t>(ra - 2)];
+    const std::int64_t a_col = a.strides[static_cast<size_t>(ra - 1)];
+    const std::int64_t b_row = b.strides[static_cast<size_t>(rb - 2)];
+    const std::int64_t b_col = b.strides[static_cast<size_t>(rb - 1)];
+    std::string args;
+    for (std::int64_t v : {m, n, k, tra ? a_col : a_row, tra ? a_row : a_col, trb ? b_col : b_row,
+                           trb ? b_row : b_col, out.strides[static_cast<size_t>(ro - 2)]}) {
+      args += (args.empty() ? "" : ", ") + I64(v);
+    }
+    std::vector<std::string> out_origin = batch;
+    out_origin.insert(out_origin.end(), {"0", "0"});
+    Line("sf_matmul<" + args + ">(&" + elem(a, ra, batch, "0", "0") + ", &" +
+         elem(b, rb, batch, "0", "0") + ", &" + Idx(out, out_origin) + ");");
+    CloseLoops(opened);
+    return Status::Ok();
+  }
+
   std::string iv = NewVar("i");
-  Line("for (std::int64_t " + iv + " = 0; " + iv + " < " + I64(m) + "; ++" + iv + ") {");
+  Line("for (int64_t " + iv + " = 0; " + iv + " < " + I64(m) + "; ++" + iv + ") {");
   ++indent_;
   auto out_elem = [&](const std::string& jv) {
     std::vector<std::string> cs = batch;
@@ -544,12 +655,12 @@ Status CppEmitter::EmitMatMulTo(const Op& op, const Layout& out, std::int64_t wi
     // per-(i, j) dot product vectorizes cleanly. The accumulation order
     // (ascending kk from 0.0f) matches the reference MatMul exactly.
     std::string jv = NewVar("j");
-    Line("for (std::int64_t " + jv + " = 0; " + jv + " < " + I64(n) + "; ++" + jv + ") {");
+    Line("for (int64_t " + jv + " = 0; " + jv + " < " + I64(n) + "; ++" + jv + ") {");
     ++indent_;
     std::string acc = NewVar("acc");
     Line("float " + acc + " = 0.0f;");
     std::string kv = NewVar("kk");
-    Line("for (std::int64_t " + kv + " = 0; " + kv + " < " + I64(k) + "; ++" + kv + ") {");
+    Line("for (int64_t " + kv + " = 0; " + kv + " < " + I64(k) + "; ++" + kv + ") {");
     ++indent_;
     Line(acc + " += " + a_elem(kv) + " * " + elem(b, rb, batch, jv, kv) + ";");
     --indent_;
@@ -562,18 +673,18 @@ Status CppEmitter::EmitMatMulTo(const Op& op, const Layout& out, std::int64_t wi
     // (saxpy form). Each C[i, j] still accumulates ascending in kk from
     // 0.0f, so the result is bit-identical to the dot form.
     std::string jv0 = NewVar("j");
-    Line("for (std::int64_t " + jv0 + " = 0; " + jv0 + " < " + I64(n) + "; ++" + jv0 + ") {");
+    Line("for (int64_t " + jv0 + " = 0; " + jv0 + " < " + I64(n) + "; ++" + jv0 + ") {");
     ++indent_;
     Line(out_elem(jv0) + " = 0.0f;");
     --indent_;
     Line("}");
     std::string kv = NewVar("kk");
-    Line("for (std::int64_t " + kv + " = 0; " + kv + " < " + I64(k) + "; ++" + kv + ") {");
+    Line("for (int64_t " + kv + " = 0; " + kv + " < " + I64(k) + "; ++" + kv + ") {");
     ++indent_;
     std::string av = NewVar("v");
     Line("const float " + av + " = " + a_elem(kv) + ";");
     std::string jv = NewVar("j");
-    Line("for (std::int64_t " + jv + " = 0; " + jv + " < " + I64(n) + "; ++" + jv + ") {");
+    Line("for (int64_t " + jv + " = 0; " + jv + " < " + I64(n) + "; ++" + jv + ") {");
     ++indent_;
     Line(out_elem(jv) + " += " + av + " * " + elem(b, rb, batch, kv, jv) + ";");
     --indent_;
@@ -663,7 +774,7 @@ Status CppEmitter::EmitAggregated(const Op& op, const ReductionAggregation& agg,
     Line("const float " + nv + " = " + Idx(new_lay, sc) + ";");
     std::string mult = NewVar("mul");
     if (factor.prim == FactorPrim::kExpNeg) {
-      Line("const float " + mult + " = std::exp(" + I64(factor.power) + ".0f * (" + ov +
+      Line("const float " + mult + " = __builtin_expf(" + I64(factor.power) + ".0f * (" + ov +
            " - " + nv + "));");
     } else {
       std::string ratio = NewVar("rat");
@@ -782,10 +893,10 @@ StatusOr<CppKernel> CppEmitter::Emit() {
     for (const ReductionAggregation& agg : s_.plan.aggregations) {
       const std::int64_t vol = g_.tensor(g_.op(agg.op).output).shape.volume();
       const std::string init = agg.combiner == ReduceOpKind::kMax
-                                   ? "-std::numeric_limits<float>::infinity()"
+                                   ? "-__builtin_huge_valf()"
                                    : "0.0f";
       std::string z = NewVar("z");
-      Line("for (std::int64_t " + z + " = 0; " + z + " < " + I64(vol) + "; ++" + z + ") {");
+      Line("for (int64_t " + z + " = 0; " + z + " < " + I64(vol) + "; ++" + z + ") {");
       ++indent_;
       Line("acc_o" + I64(agg.op) + "[" + z + "] = " + init + ";");
       if (agg.finalize_divide_by_extent) {
@@ -797,14 +908,14 @@ StatusOr<CppKernel> CppEmitter::Emit() {
       --indent_;
       Line("}");
     }
-    Line("std::int64_t processed = 0;");
+    Line("int64_t processed = 0;");
 
     const std::int64_t remainder = extent_ % step_;
     const std::int64_t main_extent = extent_ - remainder;
     if (main_extent > 0) {
       Comment("temporal main loop: " + I64(main_extent / step_) + " full blocks of width " +
               I64(step_));
-      Line("for (std::int64_t s0 = 0; s0 < " + I64(main_extent) + "; s0 += " + I64(step_) +
+      Line("for (int64_t s0 = 0; s0 < " + I64(main_extent) + "; s0 += " + I64(step_) +
            ") {");
       ++indent_;
       SF_RETURN_IF_ERROR(EmitBlockBody(step_));
@@ -815,7 +926,7 @@ StatusOr<CppKernel> CppEmitter::Emit() {
       Comment("temporal remainder block of width " + I64(remainder));
       Line("{");
       ++indent_;
-      Line("const std::int64_t s0 = " + I64(main_extent) + ";");
+      Line("const int64_t s0 = " + I64(main_extent) + ";");
       SF_RETURN_IF_ERROR(EmitBlockBody(remainder));
       --indent_;
       Line("}");
@@ -845,7 +956,11 @@ StatusOr<CppKernel> CppEmitter::Emit() {
          "). Do not edit.\n";
   src += "// kernel: " + g_.name() + "\n";
   src += "// mode: " + mode + "\n";
-  src += "#include <algorithm>\n#include <cmath>\n#include <cstdint>\n#include <limits>\n\n";
+  src += kPrelude;
+  if (uses_tile_) {
+    src += kTilePrelude;
+  }
+  src += "\n";
   src += "extern \"C\" int @SYM@(const float* const* in, float* const* out, float* scratch) {\n";
   src += body_;
   src += "}\n";
@@ -857,7 +972,7 @@ StatusOr<CppKernel> CppEmitter::Emit() {
 
   std::string key_blob = std::string(kEmitterVersion) + "|" +
                          I64(static_cast<std::int64_t>(CppCodegenOptionsDigest(opt_))) + "|" +
-                         src;
+                         CodeOf(src);
   kernel.key = Fnv1a64(key_blob);
   char sym[32];
   std::snprintf(sym, sizeof(sym), "sf_k_%016llx",

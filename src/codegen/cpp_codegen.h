@@ -65,7 +65,7 @@ using CppKernelFn = int (*)(const float* const* in, float* const* out, float* sc
 // executor needs to marshal tensors.
 struct CppKernel {
   std::string symbol;                 // "sf_k_<16 hex digits of key>"
-  std::uint64_t key = 0;              // content hash of (source, options)
+  std::uint64_t key = 0;              // hash of (source minus comments, options)
   std::string source;                 // complete C++ translation unit
   std::int64_t scratch_floats = 0;    // caller-provided scratch, in floats
   std::vector<TensorId> input_ids;    // ABI order of in[]

@@ -1,5 +1,6 @@
 #include "src/tensor/tensor_ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -164,22 +165,33 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool transpose_a, bool transpose
   out_dims.push_back(n);
   Tensor out(Shape(out_dims), a.dtype());
 
-  std::int64_t batch_count = batch.volume();
-  std::int64_t a_mat = m * k;
-  std::int64_t b_mat = k * n;
+  // Element strides: A(i, kk) = a[i * a_i + kk * a_k], B(kk, j) = b[kk * b_k + j * b_j].
+  const std::int64_t a_i = transpose_a ? 1 : k;
+  const std::int64_t a_k = transpose_a ? m : 1;
+  const std::int64_t b_k = transpose_b ? 1 : n;
+  const std::int64_t b_j = transpose_b ? k : 1;
+  const std::int64_t batch_count = batch.volume();
   for (std::int64_t batch_i = 0; batch_i < batch_count; ++batch_i) {
-    std::int64_t a_base = BroadcastSourceIndex(batch, batch_i, batch_a) * a_mat;
-    std::int64_t b_base = BroadcastSourceIndex(batch, batch_i, batch_b) * b_mat;
-    std::int64_t o_base = batch_i * m * n;
+    const float* ab = a.data() + BroadcastSourceIndex(batch, batch_i, batch_a) * m * k;
+    const float* bb = b.data() + BroadcastSourceIndex(batch, batch_i, batch_b) * k * n;
+    float* ob = out.data() + batch_i * m * n;
+    // Row streaming: each C[i, j] starts at 0.0f and adds A(i, kk) * B(kk, j)
+    // in ascending kk, the order the emitted kernels replay.
     for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          float av = transpose_a ? a.at(a_base + kk * m + i) : a.at(a_base + i * k + kk);
-          float bv = transpose_b ? b.at(b_base + j * k + kk) : b.at(b_base + kk * n + j);
-          acc += av * bv;
+      float* row = ob + i * n;
+      std::fill(row, row + n, 0.0f);
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float av = ab[i * a_i + kk * a_k];
+        const float* brow = bb + kk * b_k;
+        if (b_j == 1) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            row[j] += av * brow[j];
+          }
+        } else {
+          for (std::int64_t j = 0; j < n; ++j) {
+            row[j] += av * brow[j * b_j];
+          }
         }
-        out.at(o_base + i * n + j) = acc;
       }
     }
   }

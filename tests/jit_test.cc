@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -21,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/codegen/cpp_codegen.h"
@@ -28,6 +31,7 @@
 #include "src/core/model_runner.h"
 #include "src/core/spacefusion.h"
 #include "src/exec/jit_executor.h"
+#include "src/graph/builder.h"
 #include "src/graph/models.h"
 #include "src/graph/subgraphs.h"
 #include "src/support/file_util.h"
@@ -71,20 +75,17 @@ StatusOr<CompiledSubprogram> CompileGraph(const Graph& g) {
   return compiler.Compile(g);
 }
 
-// Compiles `g`, runs the program through the interpreter and through
-// `executor`, and checks every graph output against both the interpreter
-// and the unfused reference.
-void ExpectJitMatchesInterpreter(const Graph& g, std::uint64_t seed, JitExecutor& executor,
-                                 float tolerance = kParityTolerance) {
-  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
-  ASSERT_TRUE(compiled.ok()) << g.ToString() << "\n" << compiled.status().ToString();
-
+// Runs `program` through the interpreter and through `executor`, and checks
+// every graph output against both the interpreter and the unfused reference.
+void ExpectProgramMatchesInterpreter(const ScheduledProgram& program, const Graph& g,
+                                     std::uint64_t seed, JitExecutor& executor,
+                                     float tolerance = kParityTolerance) {
   TensorEnv inputs = MakeGraphInputs(g, seed);
   TensorEnv interpreted;
-  ASSERT_TRUE(RunScheduledProgram(compiled->program, g, inputs, &interpreted).ok());
+  ASSERT_TRUE(RunScheduledProgram(program, g, inputs, &interpreted).ok());
 
   TensorEnv jitted;
-  Status st = executor.RunProgram(compiled->program, g, inputs, &jitted);
+  Status st = executor.RunProgram(program, g, inputs, &jitted);
   ASSERT_TRUE(st.ok()) << st.ToString();
 
   TensorEnv reference = inputs;
@@ -99,6 +100,14 @@ void ExpectJitMatchesInterpreter(const Graph& g, std::uint64_t seed, JitExecutor
         << "jit diverges from reference on " << g.tensor(out).name << "\n"
         << g.ToString();
   }
+}
+
+// Compiles `g` and checks its program with ExpectProgramMatchesInterpreter.
+void ExpectJitMatchesInterpreter(const Graph& g, std::uint64_t seed, JitExecutor& executor,
+                                 float tolerance = kParityTolerance) {
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  ASSERT_TRUE(compiled.ok()) << g.ToString() << "\n" << compiled.status().ToString();
+  ExpectProgramMatchesInterpreter(compiled->program, g, seed, executor, tolerance);
 }
 
 // Every graph output of `got` has exactly the bits of `want`'s.
@@ -310,6 +319,167 @@ TEST_P(JitDifferentialTest, JitMatchesInterpreterOnRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JitDifferentialTest, ::testing::Range(0, 8));
 
+// ---------------------------------------------------------------------------
+// Register-tiled matmuls: a matmul with M >= 8 rows runs sf_matmul (4x16
+// register tiles over packed 16-column, 256-deep panels of B), smaller ones
+// the row loops. Both must replay the interpreter's per-element order.
+
+// One matmul, C = op(A) * op(B): A is [a_batch.., M, K] and B [b_batch.., K,
+// N], each stored transposed when its flag is set.
+Graph BuildMatMulGraph(std::int64_t m, std::int64_t n, std::int64_t k, bool ta, bool tb,
+                       std::vector<std::int64_t> a_dims = {},
+                       std::vector<std::int64_t> b_dims = {}) {
+  GraphBuilder b("matmul_" + std::to_string(m) + "x" + std::to_string(n) + "x" +
+                 std::to_string(k));
+  a_dims.insert(a_dims.end(), {ta ? k : m, ta ? m : k});
+  b_dims.insert(b_dims.end(), {tb ? n : k, tb ? k : n});
+  TensorId a = b.Input("a", Shape(a_dims));
+  TensorId w = b.Weight("b", Shape(b_dims));
+  b.MarkOutput(b.MatMul(a, w, ta, tb, "c"));
+  return b.Build();
+}
+
+// Compiles `g` with temporal slicing switched off, so that each kernel runs
+// in one pass and every matmul contracts its whole K.
+ScheduledProgram SinglePassProgram(const Graph& g) {
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ScheduledProgram program = compiled->program;
+  for (SmgSchedule& kernel : program.kernels) {
+    ScheduleConfig config;
+    for (const DimSlice& slice : kernel.spatial) {
+      config.spatial_blocks.push_back(slice.block);
+    }
+    kernel.ApplyConfig(config);
+  }
+  return program;
+}
+
+// Every kernel of `program` calls sf_matmul exactly when `tiled`.
+void ExpectTilePath(const ScheduledProgram& program, bool tiled) {
+  for (const SmgSchedule& schedule : program.kernels) {
+    StatusOr<CppKernel> kernel = EmitCppKernel(schedule);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    EXPECT_EQ(kernel->source.find("sf_matmul<") != std::string::npos, tiled)
+        << kernel->source;
+  }
+}
+
+class TileMatMulTest : public ::testing::Test {
+ protected:
+  void TearDown() override { ResetGlobalThreadPool(); }
+};
+
+// M on both sides of the tile threshold and with every row remainder, K
+// below, at and across the 256-deep k block, N with a 4-column tail panel.
+TEST_F(TileMatMulTest, MatchesInterpreterAcrossTileRemainders) {
+  std::uint64_t seed = 60;
+  for (std::int64_t m : {1, 4, 7, 8, 9, 33}) {
+    for (std::int64_t k : {64, 256, 300, 3072}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k));
+      const Graph g = BuildMatMulGraph(m, /*n=*/20, k, false, false);
+      const ScheduledProgram program = SinglePassProgram(g);
+      ExpectTilePath(program, m >= 8);
+      ExpectProgramMatchesInterpreter(program, g, seed++, SharedExecutor());
+    }
+  }
+  EXPECT_EQ(SharedExecutor().stats().fallbacks, 0);
+}
+
+TEST_F(TileMatMulTest, MatchesInterpreterForEveryTranspose) {
+  std::uint64_t seed = 90;
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      SCOPED_TRACE(std::string("ta=") + (ta ? "1" : "0") + " tb=" + (tb ? "1" : "0"));
+      const Graph g = BuildMatMulGraph(/*m=*/9, /*n=*/20, /*k=*/300, ta, tb);
+      const ScheduledProgram program = SinglePassProgram(g);
+      ExpectTilePath(program, true);
+      ExpectProgramMatchesInterpreter(program, g, seed++, SharedExecutor());
+    }
+  }
+}
+
+TEST_F(TileMatMulTest, MatchesInterpreterWithBroadcastBatch) {
+  const std::vector<std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>>> batches = {
+      {{3}, {}}, {{2, 1}, {3}}};
+  std::uint64_t seed = 95;
+  for (const auto& [a_batch, b_batch] : batches) {
+    const Graph g = BuildMatMulGraph(/*m=*/12, /*n=*/20, /*k=*/40, false, true, a_batch, b_batch);
+    SCOPED_TRACE(g.ToString());
+    const ScheduledProgram program = SinglePassProgram(g);
+    ExpectTilePath(program, true);
+    ExpectProgramMatchesInterpreter(program, g, seed++, SharedExecutor());
+  }
+}
+
+// Temporally sliced MHA: probs x V is a running sum over the key dim, so
+// each intra-block's tile writes its partial product into loc_o.
+TEST_F(TileMatMulTest, TemporalMhaAccumulatesTileIntoRunningSum) {
+  const Graph g = BuildMha(/*batch_heads=*/2, /*seq_q=*/16, /*seq_kv=*/64, /*head_dim=*/8);
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(g);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ScheduledProgram program = compiled->program;
+  SmgSchedule& kernel = program.kernels[0];
+  ASSERT_TRUE(kernel.has_temporal);
+  ScheduleConfig config;
+  for (const DimSlice& slice : kernel.spatial) {
+    config.spatial_blocks.push_back(slice.block);
+  }
+  config.temporal_step = 16;
+  config.use_temporal = true;
+  kernel.ApplyConfig(config);
+  ASSERT_GT(kernel.NumIntraBlocks(), 1);
+
+  StatusOr<CppKernel> emitted = EmitCppKernel(kernel);
+  ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
+  EXPECT_NE(emitted->source.find("sf_matmul<"), std::string::npos);
+  EXPECT_NE(emitted->source.find("&loc_o"), std::string::npos) << emitted->source;
+  ExpectProgramMatchesInterpreter(program, g, /*seed=*/97, SharedExecutor());
+}
+
+// Built with the JIT's own flags, the host compiler reports the tile's k
+// loop body (the per-row loop over the 16 accumulator columns, which it
+// unrolls and vectorizes) vectorized.
+TEST_F(TileMatMulTest, TileInnerLoopIsReportedVectorized) {
+#if defined(__clang__)
+  GTEST_SKIP() << "-fopt-info-vec-optimized is a GCC report";
+#endif
+  const ScheduledProgram program = SinglePassProgram(BuildMatMulGraph(32, 48, 64, false, false));
+  StatusOr<CppKernel> kernel = EmitCppKernel(program.kernels[0]);
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  const std::string& src = kernel->source;
+  auto line_of = [&src](const std::string& text) {
+    const size_t at = src.find(text);
+    EXPECT_NE(at, std::string::npos) << text << " not in\n" << src;
+    return 1 + std::count(src.begin(), src.begin() + static_cast<long>(std::min(at, src.size())),
+                          '\n');
+  };
+  const long first = line_of("for (int64_t kk = 0; kk < KN; ++kk)");
+  const long last = line_of("acc[r][j] += av * bp[kk * 16 + j];");
+
+  const std::string dir = UniqueTestDir("vec-report");
+  ASSERT_TRUE(AtomicWriteFile(dir + "/tile.cc", src).ok());
+  const char* env = std::getenv("SPACEFUSION_CXX");
+  const std::string compiler = (env != nullptr && env[0] != '\0') ? env : "c++";
+  const std::string cmd = compiler + " " + JitCacheOptions().flags +
+                          " -fopt-info-vec-optimized -o \"" + dir + "/tile.so\" \"" + dir +
+                          "/tile.cc\" 2> \"" + dir + "/report.txt\"";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  StatusOr<std::string> report = ReadFileToString(dir + "/report.txt");
+  ASSERT_TRUE(report.ok());
+  bool vectorized = false;
+  std::istringstream lines(report.value());
+  for (std::string l; std::getline(lines, l);) {
+    for (long line = first; line <= last; ++line) {
+      vectorized = vectorized || (l.find("tile.cc:" + std::to_string(line) + ":") !=
+                                      std::string::npos &&
+                                  l.find("vectorized") != std::string::npos);
+    }
+  }
+  EXPECT_TRUE(vectorized) << "no line in " << first << "-" << last << " reported vectorized:\n"
+                          << report.value();
+}
+
 class JitCacheTest : public ::testing::Test {
  protected:
   void TearDown() override { ResetGlobalThreadPool(); }
@@ -474,6 +644,34 @@ TEST_F(JitCacheTest, CorruptEntryWithCompileDisabledFallsBack) {
   EXPECT_EQ(executor.cache().stats().toolchain_invocations, 0);
 }
 
+// The kernel key hashes code, not comments: the q, k and v projections
+// differ only in the names their comments carry, so they share one key and
+// the toolchain runs once for all three.
+TEST_F(JitCacheTest, KernelsDifferingOnlyInCommentsShareOneBuild) {
+  StatusOr<CompiledSubprogram> compiled = CompileGraph(BuildQkvProj(32, 768, 768));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ASSERT_EQ(compiled->program.kernels.size(), 3u);
+  std::vector<CppKernel> kernels;
+  for (const SmgSchedule& schedule : compiled->program.kernels) {
+    StatusOr<CppKernel> kernel = EmitCppKernel(schedule);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    kernels.push_back(kernel.value());
+  }
+  EXPECT_NE(kernels[0].source, kernels[1].source);
+  for (const CppKernel& kernel : kernels) {
+    EXPECT_EQ(kernel.key, kernels[0].key);
+  }
+
+  JitCacheOptions options;
+  options.dir = UniqueTestDir("shared-code");
+  JitKernelCache cache(options);
+  for (const CppKernel& kernel : kernels) {
+    ASSERT_TRUE(cache.GetOrBuild(kernel).ok());
+  }
+  EXPECT_EQ(cache.stats().toolchain_invocations, 1);
+  EXPECT_EQ(cache.stats().memory_hits, 2);
+}
+
 TEST_F(JitCacheTest, MissingEntryWithCompileDisabledIsNotFound) {
   JitCacheOptions options;
   options.dir = UniqueTestDir("nocompile");
@@ -532,8 +730,7 @@ TEST_F(CppCodegenTest, OptionsChangeTheKey) {
 }
 
 // The code a kernel runs: its emitted source without comment lines, and
-// with the symbol (a hash of the whole source, comments included) replaced
-// by a placeholder.
+// with the symbol (a hash of that code) replaced by a placeholder.
 std::string CodeOf(const CppKernel& kernel) {
   std::string code;
   std::istringstream lines(kernel.source);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
@@ -97,6 +100,87 @@ TEST(TensorOpsTest, BatchedMatMulBroadcastsBatchDims) {
     Tensor expect = MatMul(slice, w);
     for (std::int64_t i = 0; i < 8; ++i) {
       EXPECT_NEAR(c.at(batch * 8 + i), expect.at(i), 1e-5f);
+    }
+  }
+}
+
+// Offset of one operand's matrix for the flat output batch index `flat`:
+// batch dims right-aligned, extent-1 dims broadcast.
+std::int64_t NaiveBatchOffset(const std::vector<std::int64_t>& out_batch, std::int64_t flat,
+                              const std::vector<std::int64_t>& batch, std::int64_t mat) {
+  std::int64_t offset = 0;
+  std::int64_t stride = mat;
+  for (size_t back = 0; back < batch.size(); ++back) {
+    const std::int64_t out_extent = out_batch[out_batch.size() - 1 - back];
+    const std::int64_t extent = batch[batch.size() - 1 - back];
+    offset += (extent == 1 ? 0 : flat % out_extent) * stride;
+    flat /= out_extent;
+    stride *= extent;
+  }
+  return offset;
+}
+
+// The plain i, j, kk triple loop: C[i, j] = 0.0f, then += A(i, kk) * B(kk, j)
+// in ascending kk.
+Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool ta, bool tb) {
+  const std::vector<std::int64_t> ad = a.shape().dims();
+  const std::vector<std::int64_t> bd = b.shape().dims();
+  const std::int64_t m = ta ? ad.back() : ad[ad.size() - 2];
+  const std::int64_t k = ta ? ad[ad.size() - 2] : ad.back();
+  const std::int64_t n = tb ? bd[bd.size() - 2] : bd.back();
+  const std::vector<std::int64_t> a_batch(ad.begin(), ad.end() - 2);
+  const std::vector<std::int64_t> b_batch(bd.begin(), bd.end() - 2);
+  std::vector<std::int64_t> out_dims = BroadcastShape(Shape(a_batch), Shape(b_batch)).dims();
+  const std::vector<std::int64_t> out_batch = out_dims;
+  out_dims.push_back(m);
+  out_dims.push_back(n);
+  Tensor out = Tensor::Zeros(Shape(out_dims));
+  for (std::int64_t bi = 0; bi < Shape(out_batch).volume(); ++bi) {
+    const std::int64_t a0 = NaiveBatchOffset(out_batch, bi, a_batch, m * k);
+    const std::int64_t b0 = NaiveBatchOffset(out_batch, bi, b_batch, k * n);
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        float acc = 0.0f;
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          const float av = ta ? a.at(a0 + kk * m + i) : a.at(a0 + i * k + kk);
+          const float bv = tb ? b.at(b0 + j * k + kk) : b.at(b0 + kk * n + j);
+          acc += av * bv;
+        }
+        out.at(bi * m * n + i * n + j) = acc;
+      }
+    }
+  }
+  return out;
+}
+
+// MatMul streams rows for speed but keeps every element's operation order,
+// so it matches the triple loop bit for bit: all four transpose
+// combinations, with and without broadcast batch dims.
+TEST(TensorOpsTest, MatMulIsBitIdenticalToTripleLoop) {
+  const std::int64_t m = 9;
+  const std::int64_t k = 37;
+  const std::int64_t n = 21;
+  const std::vector<std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>>> batches = {
+      {{}, {}}, {{3}, {}}, {{}, {3}}, {{2, 1}, {3}}, {{2, 3}, {1, 3}}};
+  std::uint64_t seed = 1;
+  for (bool ta : {false, true}) {
+    for (bool tb : {false, true}) {
+      for (const auto& [a_batch, b_batch] : batches) {
+        std::vector<std::int64_t> a_dims = a_batch;
+        a_dims.insert(a_dims.end(), {ta ? k : m, ta ? m : k});
+        std::vector<std::int64_t> b_dims = b_batch;
+        b_dims.insert(b_dims.end(), {tb ? n : k, tb ? k : n});
+        const Tensor a = Tensor::Random(Shape(a_dims), seed++);
+        const Tensor b = Tensor::Random(Shape(b_dims), seed++);
+        const Tensor got = MatMul(a, b, ta, tb);
+        const Tensor want = NaiveMatMul(a, b, ta, tb);
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              static_cast<size_t>(got.volume()) * sizeof(float)),
+                  0)
+            << "ta=" << ta << " tb=" << tb << " a=" << a.shape().ToString()
+            << " b=" << b.shape().ToString();
+      }
     }
   }
 }
