@@ -30,7 +30,7 @@ namespace {
 
 // Emitter revision: mixed into every kernel key so stale cached .so files
 // from an older emitter can never be served for a new emission scheme.
-constexpr const char* kEmitterVersion = "sfcpp-v2";
+constexpr const char* kEmitterVersion = "sfcpp-v3";
 
 // Kernels include no header: parsing <cmath> and its kin was most of a
 // kernel's build time. The emitted code instead calls the builtins that
@@ -44,61 +44,103 @@ constexpr std::int64_t kTileMinRows = 8;
 
 // The register-tiled matmul, emitted once into each kernel that uses it:
 // C[M,N] = A[M,K] * B[K,N] with A(i,k) = a[i*SAI + k*SAK],
-// B(k,j) = b[k*SBK + j*SBJ] and C(i,j) = c[i*LDC + j]. For each 16-column
-// panel of C, every 256-deep k block of B is packed into a 16 KB stack
-// buffer, and each 4x16 tile of C accumulates in registers: from 0.0f in
-// the first block, from the partial sums it stored in later ones. Every
-// C(i,j) is therefore 0.0f plus A(i,k) * B(k,j) in ascending k, one mul and
-// one add at a time, exactly the interpreter's order. The M, N and K
+// B(k,j) = b[k*SBK + j*SBJ] and C(i,j) = c[i*LDC + j]. The columns of C go
+// in groups of up to 128 (eight 16-column panels). For each group, every
+// 256-deep k block of B is packed row by row into a stack buffer of at most
+// 8 * 256 * 16 floats (128 KB), so B is read along its rows. Each panel's
+// rows then run through a tile that keeps its 8 accumulator vectors in
+// registers: from 0.0f in the first block, from the partial sums it stored
+// in later ones. Every C(i,j) is therefore 0.0f plus A(i,k) * B(k,j) in
+// ascending k, one mul and one add at a time, exactly the interpreter's
+// order; vector lanes are independent columns. The vector width comes from
+// the ISA the kernel is built for (__AVX__: 8 floats, else 4), so the source,
+// and with it the kernel key, is the same on every host; the tile is 4 rows
+// with AVX and 2 without, 8 accumulators either way. The M, N and K
 // remainders are template arguments too, so every trip count is constant.
 constexpr const char* kTilePrelude = R"(
-// Out of line on purpose: inlined into its caller, GCC turns the
-// accumulator copies into memcpy calls and keeps the tile in memory.
+#ifdef __AVX__
+#define SF_VL 8
+#else
+#define SF_VL 4
+#endif
+typedef float sf_v __attribute__((vector_size(SF_VL * 4), aligned(4), may_alias));
+// Out of line, so the tile is one function whose k loop jit_test can find
+// in the assembly and check for spills.
 template <int R, int C, int64_t KN, int64_t SAI, int64_t SAK, int64_t LDC>
 __attribute__((noinline)) static void sf_mm_tile(const float* __restrict__ a,
                                                  const float* __restrict__ bp,
                                                  float* __restrict__ c, bool first) {
-  float acc[R][16];
-  for (int r = 0; r < R; ++r)
-    for (int j = 0; j < 16; ++j) acc[r][j] = (first || j >= C) ? 0.0f : c[r * LDC + j];
-  for (int64_t kk = 0; kk < KN; ++kk)
+  constexpr int NV = (C + SF_VL - 1) / SF_VL;
+  sf_v acc[R][NV] = {};
+  if (!first)
+    for (int r = 0; r < R; ++r) {
+      if constexpr (C == NV * SF_VL) {
+        for (int v = 0; v < NV; ++v) acc[r][v] = *(const sf_v*)(c + r * LDC + v * SF_VL);
+      } else {
+        float t[NV * SF_VL] = {};
+        __builtin_memcpy(t, c + r * LDC, C * 4);
+        __builtin_memcpy(acc[r], t, sizeof t);
+      }
+    }
+  for (int64_t kk = 0; kk < KN; ++kk) {
+    sf_v b[NV];
+    for (int v = 0; v < NV; ++v) b[v] = *(const sf_v*)(bp + kk * 16 + v * SF_VL);
     for (int r = 0; r < R; ++r) {
       const float av = a[r * SAI + kk * SAK];
-      for (int j = 0; j < 16; ++j) acc[r][j] += av * bp[kk * 16 + j];
+      for (int v = 0; v < NV; ++v) acc[r][v] += av * b[v];
     }
-  for (int r = 0; r < R; ++r)
-    for (int j = 0; j < C; ++j) c[r * LDC + j] = acc[r][j];
+  }
+  for (int r = 0; r < R; ++r) {
+    if constexpr (C == NV * SF_VL) {
+      for (int v = 0; v < NV; ++v) *(sf_v*)(c + r * LDC + v * SF_VL) = acc[r][v];
+    } else {
+      float t[NV * SF_VL];
+      __builtin_memcpy(t, acc[r], sizeof t);
+      __builtin_memcpy(c + r * LDC, t, C * 4);
+    }
+  }
 }
-template <int C, int64_t M, int64_t KN, int64_t SAI, int64_t SAK, int64_t SBK, int64_t SBJ,
+template <int C, int64_t M, int64_t KN, int64_t SAI, int64_t SAK, int64_t LDC>
+static inline void sf_mm_rows(const float* a, const float* bp, float* c, bool first) {
+  constexpr int64_t TR = SF_VL / 2;
+  for (int64_t i = 0; i + TR <= M; i += TR)
+    sf_mm_tile<TR, C, KN, SAI, SAK, LDC>(a + i * SAI, bp, c + i * LDC, first);
+  if constexpr (M % TR != 0)
+    sf_mm_tile<M % TR, C, KN, SAI, SAK, LDC>(a + (M - M % TR) * SAI, bp, c + (M - M % TR) * LDC,
+                                             first);
+}
+template <int P, int C, int64_t M, int64_t KN, int64_t SAI, int64_t SAK, int64_t SBK, int64_t SBJ,
           int64_t LDC>
 static inline void sf_mm_block(const float* a, const float* b, float* c, bool first) {
-  alignas(64) float bp[KN * 16];
+  alignas(64) float bp[P * KN * 16];
   for (int64_t kk = 0; kk < KN; ++kk)
-    for (int j = 0; j < 16; ++j) bp[kk * 16 + j] = j < C ? b[kk * SBK + j * SBJ] : 0.0f;
-  for (int64_t i = 0; i + 4 <= M; i += 4)
-    sf_mm_tile<4, C, KN, SAI, SAK, LDC>(a + i * SAI, bp, c + i * LDC, first);
-  if constexpr (M % 4 != 0)
-    sf_mm_tile<M % 4, C, KN, SAI, SAK, LDC>(a + (M - M % 4) * SAI, bp, c + (M - M % 4) * LDC,
-                                            first);
+    for (int p = 0; p < P; ++p)
+      for (int j = 0; j < 16; ++j)
+        bp[(p * KN + kk) * 16 + j] = p + 1 < P || j < C ? b[kk * SBK + (p * 16 + j) * SBJ] : 0.0f;
+  for (int p = 0; p + 1 < P; ++p)
+    sf_mm_rows<16, M, KN, SAI, SAK, LDC>(a, bp + p * KN * 16, c + p * 16, first);
+  sf_mm_rows<C, M, KN, SAI, SAK, LDC>(a, bp + (P - 1) * KN * 16, c + (P - 1) * 16, first);
 }
-template <int C, int64_t M, int64_t K, int64_t SAI, int64_t SAK, int64_t SBK, int64_t SBJ,
+// P panels of 16 columns, the last one C wide, over the whole contraction.
+template <int P, int C, int64_t M, int64_t K, int64_t SAI, int64_t SAK, int64_t SBK, int64_t SBJ,
           int64_t LDC>
-__attribute__((noinline)) static void sf_mm_panel(const float* a, const float* b, float* c) {
+__attribute__((noinline)) static void sf_mm_group(const float* a, const float* b, float* c) {
   constexpr int64_t KB = 256;
   int64_t k0 = 0;
   for (; k0 + KB <= K; k0 += KB)
-    sf_mm_block<C, M, KB, SAI, SAK, SBK, SBJ, LDC>(a + k0 * SAK, b + k0 * SBK, c, k0 == 0);
+    sf_mm_block<P, C, M, KB, SAI, SAK, SBK, SBJ, LDC>(a + k0 * SAK, b + k0 * SBK, c, k0 == 0);
   if constexpr (K % KB != 0)
-    sf_mm_block<C, M, K % KB, SAI, SAK, SBK, SBJ, LDC>(a + k0 * SAK, b + k0 * SBK, c, k0 == 0);
+    sf_mm_block<P, C, M, K % KB, SAI, SAK, SBK, SBJ, LDC>(a + k0 * SAK, b + k0 * SBK, c, k0 == 0);
 }
 template <int64_t M, int64_t N, int64_t K, int64_t SAI, int64_t SAK, int64_t SBK, int64_t SBJ,
           int64_t LDC>
 static void sf_matmul(const float* a, const float* b, float* c) {
-  for (int64_t j0 = 0; j0 + 16 <= N; j0 += 16)
-    sf_mm_panel<16, M, K, SAI, SAK, SBK, SBJ, LDC>(a, b + j0 * SBJ, c + j0);
-  if constexpr (N % 16 != 0)
-    sf_mm_panel<N % 16, M, K, SAI, SAK, SBK, SBJ, LDC>(a, b + (N - N % 16) * SBJ,
-                                                       c + (N - N % 16));
+  constexpr int64_t G = 128;
+  for (int64_t j0 = 0; j0 + G <= N; j0 += G)
+    sf_mm_group<G / 16, 16, M, K, SAI, SAK, SBK, SBJ, LDC>(a, b + j0 * SBJ, c + j0);
+  if constexpr (N % G != 0)
+    sf_mm_group<(N % G + 15) / 16, (N % 16 == 0 ? 16 : N % 16), M, K, SAI, SAK, SBK, SBJ, LDC>(
+        a, b + (N - N % G) * SBJ, c + (N - N % G));
 }
 )";
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <utility>
 
@@ -75,7 +76,8 @@ std::string JitKernelCache::EntryPath(std::uint64_t entry_key, const char* ext) 
   return dir_ + "/" + HexKey(entry_key) + ext;
 }
 
-StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::string& so_path) {
+StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::string& so_path,
+                                       Stats* counts) {
   const std::string cc_path = so_path.substr(0, so_path.size() - 3) + ".cc";
   SF_RETURN_IF_ERROR(AtomicWriteFile(cc_path, kernel.source));
 
@@ -89,7 +91,7 @@ StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::strin
   const double ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();
-  ++stats_.toolchain_invocations;
+  ++counts->toolchain_invocations;
   SF_COUNTER_ADD("jit.cache.toolchain_invocations", 1);
 
   if (rc != 0) {
@@ -117,95 +119,122 @@ StatusOr<double> JitKernelCache::Build(const CppKernel& kernel, const std::strin
   return ms;
 }
 
-StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& kernel) {
-  const std::uint64_t entry_key = EntryKey(kernel);
-  MutexLock lock(mu_);
-
-  auto it = loaded_.find(entry_key);
-  if (it != loaded_.end()) {
-    ++stats_.memory_hits;
-    SF_COUNTER_ADD("jit.cache.hits", 1);
-    Kernel result;
-    result.fn = it->second.fn;
-    result.scratch_floats = it->second.scratch_floats;
-    result.key = entry_key;
-    return result;
-  }
-  SF_COUNTER_ADD("jit.cache.misses", 1);
-
+StatusOr<JitKernelCache::Loaded> JitKernelCache::LoadOrBuild(const CppKernel& kernel,
+                                                             std::uint64_t entry_key,
+                                                             Stats* counts) {
   const std::string so_path = EntryPath(entry_key, ".sfk.so");
-  void* handle = nullptr;
-  CppKernelFn fn = nullptr;
-  bool from_disk = false;
-  bool built = false;
+  Loaded loaded;
+  loaded.scratch_floats = kernel.scratch_floats;
 
   if (::access(so_path.c_str(), F_OK) == 0) {
-    handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (handle != nullptr) {
-      fn = reinterpret_cast<CppKernelFn>(::dlsym(handle, kernel.symbol.c_str()));
+    loaded.handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+    if (loaded.handle != nullptr) {
+      loaded.fn = reinterpret_cast<CppKernelFn>(::dlsym(loaded.handle, kernel.symbol.c_str()));
     }
-    if (handle != nullptr && fn != nullptr) {
-      from_disk = true;
+    if (loaded.fn != nullptr) {
+      ++counts->disk_hits;
+      SF_COUNTER_ADD("jit.cache.disk_hits", 1);
+      return loaded;
+    }
+    // Undlopenable or missing its symbol: a corrupt (or stale-emitter)
+    // entry. Evict it; rebuild below if allowed.
+    if (loaded.handle != nullptr) {
+      ::dlclose(loaded.handle);
+      loaded.handle = nullptr;
+    }
+    ++counts->corrupt;
+    SF_COUNTER_ADD("jit.cache.corrupt", 1);
+    std::remove(so_path.c_str());
+  }
+
+  if (!options_.allow_compile) {
+    ++counts->failures;
+    return NotFound("jit: kernel " + kernel.symbol +
+                    " not in cache and compilation is disabled");
+  }
+  StatusOr<double> build_ms = Build(kernel, so_path, counts);
+  if (!build_ms.ok()) {
+    ++counts->failures;
+    SF_COUNTER_ADD("jit.cache.build_failures", 1);
+    return build_ms.status();
+  }
+  loaded.handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (loaded.handle != nullptr) {
+    loaded.fn = reinterpret_cast<CppKernelFn>(::dlsym(loaded.handle, kernel.symbol.c_str()));
+  }
+  if (loaded.fn == nullptr) {
+    const char* err = ::dlerror();
+    if (loaded.handle != nullptr) {
+      ::dlclose(loaded.handle);
+    }
+    ++counts->failures;
+    return Internal("jit: freshly built " + kernel.symbol +
+                    " failed to load: " + (err != nullptr ? err : "unknown dlerror"));
+  }
+  ++counts->builds;
+  counts->build_ms += build_ms.value();
+  SF_COUNTER_ADD("jit.cache.builds", 1);
+  return loaded;
+}
+
+StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& kernel) {
+  const std::uint64_t entry_key = EntryKey(kernel);
+  auto callable = [entry_key](const Loaded& loaded) {
+    Kernel result;
+    result.fn = loaded.fn;
+    result.scratch_floats = loaded.scratch_floats;
+    result.key = entry_key;
+    return result;
+  };
+
+  // Probe under the lock: a loaded entry is a hit; an entry another thread
+  // is loading is waited on below; otherwise this call becomes its loader.
+  std::promise<Status> outcome;
+  std::shared_future<Status> pending;
+  {
+    MutexLock lock(mu_);
+    auto it = loaded_.find(entry_key);
+    if (it != loaded_.end()) {
+      ++stats_.memory_hits;
+      SF_COUNTER_ADD("jit.cache.hits", 1);
+      return callable(it->second);
+    }
+    auto in_flight = in_flight_.find(entry_key);
+    if (in_flight != in_flight_.end()) {
+      pending = in_flight->second;
     } else {
-      // Undlopenable or missing its symbol: a corrupt (or stale-emitter)
-      // entry. Evict it; rebuild below if allowed.
-      if (handle != nullptr) {
-        ::dlclose(handle);
-      }
-      handle = nullptr;
-      fn = nullptr;
-      ++stats_.corrupt;
-      SF_COUNTER_ADD("jit.cache.corrupt", 1);
-      std::remove(so_path.c_str());
+      in_flight_.emplace(entry_key, outcome.get_future().share());
     }
   }
-
-  if (fn == nullptr) {
-    if (!options_.allow_compile) {
-      ++stats_.failures;
-      return NotFound("jit: kernel " + kernel.symbol +
-                      " not in cache and compilation is disabled");
-    }
-    StatusOr<double> build_ms = Build(kernel, so_path);
-    if (!build_ms.ok()) {
-      ++stats_.failures;
-      SF_COUNTER_ADD("jit.cache.build_failures", 1);
-      return build_ms.status();
-    }
-    handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (handle != nullptr) {
-      fn = reinterpret_cast<CppKernelFn>(::dlsym(handle, kernel.symbol.c_str()));
-    }
-    if (handle == nullptr || fn == nullptr) {
-      const char* err = ::dlerror();
-      if (handle != nullptr) {
-        ::dlclose(handle);
-      }
-      ++stats_.failures;
-      return Internal("jit: freshly built " + kernel.symbol +
-                      " failed to load: " + (err != nullptr ? err : "unknown dlerror"));
-    }
-    ++stats_.builds;
-    stats_.build_ms += build_ms.value();
-    SF_COUNTER_ADD("jit.cache.builds", 1);
-    built = true;
-  } else {
-    ++stats_.disk_hits;
-    SF_COUNTER_ADD("jit.cache.disk_hits", 1);
+  if (pending.valid()) {
+    SF_RETURN_IF_ERROR(pending.get());
+    MutexLock lock(mu_);
+    ++stats_.memory_hits;
+    SF_COUNTER_ADD("jit.cache.hits", 1);
+    return callable(loaded_.at(entry_key));
   }
 
-  Loaded loaded;
-  loaded.handle = handle;
-  loaded.fn = fn;
-  loaded.scratch_floats = kernel.scratch_floats;
-  loaded_[entry_key] = loaded;
-
-  Kernel result;
-  result.fn = fn;
-  result.scratch_floats = kernel.scratch_floats;
-  result.key = entry_key;
-  result.built = built;
-  result.from_disk = from_disk;
+  SF_COUNTER_ADD("jit.cache.misses", 1);
+  Stats counts;
+  StatusOr<Loaded> loaded = LoadOrBuild(kernel, entry_key, &counts);
+  {
+    MutexLock lock(mu_);
+    stats_.disk_hits += counts.disk_hits;
+    stats_.builds += counts.builds;
+    stats_.corrupt += counts.corrupt;
+    stats_.failures += counts.failures;
+    stats_.build_ms += counts.build_ms;
+    stats_.toolchain_invocations += counts.toolchain_invocations;
+    if (loaded.ok()) {
+      loaded_[entry_key] = loaded.value();
+    }
+    in_flight_.erase(entry_key);
+  }
+  outcome.set_value(loaded.status());
+  SF_RETURN_IF_ERROR(loaded.status());
+  Kernel result = callable(loaded.value());
+  result.built = counts.builds > 0;
+  result.from_disk = counts.disk_hits > 0;
   return result;
 }
 

@@ -19,6 +19,7 @@
 #define SPACEFUSION_SRC_CODEGEN_JIT_CACHE_H_
 
 #include <cstdint>
+#include <future>
 #include <map>
 #include <string>
 
@@ -41,8 +42,20 @@ struct JitCacheOptions {
   std::string compiler;
   // Compile flags. -ffp-contract=off keeps the JIT-compiled kernels from
   // contracting a*b+c into fma, which would break bit-parity with the
-  // separately compiled interpreter.
-  std::string flags = "-O3 -std=c++17 -fPIC -shared -ffp-contract=off";
+  // separately compiled interpreter. The default targets the host: on an
+  // x86-64 CPU with AVX2 it adds -mavx2 (never -mfma, -march or fast-math),
+  // and since the entry key hashes the flags, a .so built for AVX2 is never
+  // loaded by a host without it.
+  std::string flags = [] {
+    std::string f = "-O3 -std=c++17 -fPIC -shared -ffp-contract=off";
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      f += " -mavx2";
+    }
+#endif
+    return f;
+  }();
   // When false, a kernel that is not already on disk is a NotFound error
   // instead of a toolchain invocation (callers then fall back to the
   // interpreter). Serving can use this to bound tail latency.
@@ -82,7 +95,8 @@ class JitKernelCache {
 
   // Returns the callable for `kernel`, building and/or loading it as
   // needed. Thread-safe; concurrent requests for the same kernel build it
-  // once.
+  // once. The lock is held only to probe and insert: the toolchain and
+  // dlopen run outside it, so a build never delays another thread's hit.
   StatusOr<Kernel> GetOrBuild(const CppKernel& kernel);
 
   Stats stats() const;
@@ -97,9 +111,11 @@ class JitKernelCache {
 
   std::uint64_t EntryKey(const CppKernel& kernel) const;
   std::string EntryPath(std::uint64_t entry_key, const char* ext) const;
+  // Loads the entry from disk or builds it, without holding mu_; counts
+  // what it did into `*counts`.
+  StatusOr<Loaded> LoadOrBuild(const CppKernel& kernel, std::uint64_t entry_key, Stats* counts);
   // Compile kernel.source into `so_path`. Returns the toolchain wall time.
-  StatusOr<double> Build(const CppKernel& kernel, const std::string& so_path)
-      SF_REQUIRES(mu_);
+  StatusOr<double> Build(const CppKernel& kernel, const std::string& so_path, Stats* counts);
 
   JitCacheOptions options_;
   std::string dir_;       // resolved cache directory
@@ -107,6 +123,9 @@ class JitKernelCache {
 
   mutable Mutex mu_;
   std::map<std::uint64_t, Loaded> loaded_ SF_GUARDED_BY(mu_);
+  // Entries some thread is loading or building: later callers for the same
+  // key wait on its outcome instead of running the toolchain again.
+  std::map<std::uint64_t, std::shared_future<Status>> in_flight_ SF_GUARDED_BY(mu_);
   Stats stats_ SF_GUARDED_BY(mu_);
 };
 

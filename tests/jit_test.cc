@@ -13,10 +13,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -65,6 +67,22 @@ JitExecutor& SharedExecutor() {
   static JitExecutor* executor = []() {
     JitExecutorOptions options;
     options.cache.dir = UniqueTestDir("shared");
+    return new JitExecutor(options);
+  }();
+  return *executor;
+}
+
+// The JIT flags without the host ISA: baseline x86-64 (SSE2) on x86-64
+// hosts, where the kernel prelude's vectors are 4 floats wide.
+constexpr const char* kBaselineJitFlags = "-O3 -std=c++17 -fPIC -shared -ffp-contract=off";
+
+// SharedExecutor's twin that builds every kernel with kBaselineJitFlags, so
+// the 4-float vector path stays pinned on a host with AVX2.
+JitExecutor& BaselineExecutor() {
+  static JitExecutor* executor = []() {
+    JitExecutorOptions options;
+    options.cache.dir = UniqueTestDir("baseline");
+    options.cache.flags = kBaselineJitFlags;
     return new JitExecutor(options);
   }();
   return *executor;
@@ -320,9 +338,11 @@ TEST_P(JitDifferentialTest, JitMatchesInterpreterOnRandomGraphs) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JitDifferentialTest, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------------
-// Register-tiled matmuls: a matmul with M >= 8 rows runs sf_matmul (4x16
-// register tiles over packed 16-column, 256-deep panels of B), smaller ones
-// the row loops. Both must replay the interpreter's per-element order.
+// Register-tiled matmuls: a matmul with M >= 8 rows runs sf_matmul (register
+// tiles of 8 accumulator vectors over B packed in 128-column groups of
+// 16-column, 256-deep panels), smaller ones the row loops. Both must replay
+// the interpreter's per-element order under the host's vector width and
+// under the baseline one.
 
 // One matmul, C = op(A) * op(B): A is [a_batch.., M, K] and B [b_batch.., K,
 // N], each stored transposed when its flag is set.
@@ -365,6 +385,16 @@ void ExpectTilePath(const ScheduledProgram& program, bool tiled) {
   }
 }
 
+// ExpectProgramMatchesInterpreter under the host JIT flags and under the
+// baseline ones.
+void ExpectMatchesInterpreterAtBothWidths(const ScheduledProgram& program, const Graph& g,
+                                          std::uint64_t seed) {
+  for (JitExecutor* executor : {&SharedExecutor(), &BaselineExecutor()}) {
+    SCOPED_TRACE(executor->cache().dir());
+    ExpectProgramMatchesInterpreter(program, g, seed, *executor);
+  }
+}
+
 class TileMatMulTest : public ::testing::Test {
  protected:
   void TearDown() override { ResetGlobalThreadPool(); }
@@ -380,10 +410,11 @@ TEST_F(TileMatMulTest, MatchesInterpreterAcrossTileRemainders) {
       const Graph g = BuildMatMulGraph(m, /*n=*/20, k, false, false);
       const ScheduledProgram program = SinglePassProgram(g);
       ExpectTilePath(program, m >= 8);
-      ExpectProgramMatchesInterpreter(program, g, seed++, SharedExecutor());
+      ExpectMatchesInterpreterAtBothWidths(program, g, seed++);
     }
   }
   EXPECT_EQ(SharedExecutor().stats().fallbacks, 0);
+  EXPECT_EQ(BaselineExecutor().stats().fallbacks, 0);
 }
 
 TEST_F(TileMatMulTest, MatchesInterpreterForEveryTranspose) {
@@ -394,7 +425,7 @@ TEST_F(TileMatMulTest, MatchesInterpreterForEveryTranspose) {
       const Graph g = BuildMatMulGraph(/*m=*/9, /*n=*/20, /*k=*/300, ta, tb);
       const ScheduledProgram program = SinglePassProgram(g);
       ExpectTilePath(program, true);
-      ExpectProgramMatchesInterpreter(program, g, seed++, SharedExecutor());
+      ExpectMatchesInterpreterAtBothWidths(program, g, seed++);
     }
   }
 }
@@ -408,8 +439,39 @@ TEST_F(TileMatMulTest, MatchesInterpreterWithBroadcastBatch) {
     SCOPED_TRACE(g.ToString());
     const ScheduledProgram program = SinglePassProgram(g);
     ExpectTilePath(program, true);
-    ExpectProgramMatchesInterpreter(program, g, seed++, SharedExecutor());
+    ExpectMatchesInterpreterAtBothWidths(program, g, seed++);
   }
+}
+
+// Full 128-column groups and a leftover group (276 = 2 * 128 + 20: one full
+// panel plus a 4-column tail), every transpose (a transposed B packs with
+// SBJ != 1), every row remainder of the 4-row and the 2-row tile, and a
+// broadcast batch.
+TEST_F(TileMatMulTest, GroupedPanelsMatchInterpreter) {
+  const std::int64_t ms[] = {8, 9, 10, 11, 33};
+  std::uint64_t seed = 200;
+  int i = 0;
+  for (std::int64_t n : {128, 256 + 20, 3072}) {
+    for (std::int64_t k : {256, 300, 768}) {
+      const std::int64_t m = ms[i % 5];
+      const bool ta = (i % 4) / 2 == 1;
+      const bool tb = i % 2 == 1;
+      ++i;
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) + " k=" +
+                   std::to_string(k) + " ta=" + std::to_string(ta) + " tb=" + std::to_string(tb));
+      const Graph g = BuildMatMulGraph(m, n, k, ta, tb);
+      const ScheduledProgram program = SinglePassProgram(g);
+      ExpectTilePath(program, true);
+      ExpectMatchesInterpreterAtBothWidths(program, g, seed++);
+    }
+  }
+  const Graph g = BuildMatMulGraph(/*m=*/9, /*n=*/256 + 20, /*k=*/300, false, true, {2, 1}, {3});
+  SCOPED_TRACE(g.ToString());
+  const ScheduledProgram program = SinglePassProgram(g);
+  ExpectTilePath(program, true);
+  ExpectMatchesInterpreterAtBothWidths(program, g, seed);
+  EXPECT_EQ(SharedExecutor().stats().fallbacks, 0);
+  EXPECT_EQ(BaselineExecutor().stats().fallbacks, 0);
 }
 
 // Temporally sliced MHA: probs x V is a running sum over the key dim, so
@@ -434,50 +496,95 @@ TEST_F(TileMatMulTest, TemporalMhaAccumulatesTileIntoRunningSum) {
   ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
   EXPECT_NE(emitted->source.find("sf_matmul<"), std::string::npos);
   EXPECT_NE(emitted->source.find("&loc_o"), std::string::npos) << emitted->source;
-  ExpectProgramMatchesInterpreter(program, g, /*seed=*/97, SharedExecutor());
+  ExpectMatchesInterpreterAtBothWidths(program, g, /*seed=*/97);
 }
 
-// Built with the JIT's own flags, the host compiler reports the tile's k
-// loop body (the per-row loop over the 16 accumulator columns, which it
-// unrolls and vectorizes) vectorized.
-TEST_F(TileMatMulTest, TileInnerLoopIsReportedVectorized) {
-#if defined(__clang__)
-  GTEST_SKIP() << "-fopt-info-vec-optimized is a GCC report";
+// Compiles `source` the way the JIT does, with `flags` plus `extra` (which
+// redirects the output, e.g. "-S"), and returns what the compiler wrote to
+// stderr.
+std::string CompileKernelSource(const std::string& source, const std::string& flags,
+                                const std::string& extra, const std::string& out_path) {
+  const std::string dir = UniqueTestDir("compile");
+  EXPECT_TRUE(AtomicWriteFile(dir + "/kernel.cc", source).ok());
+  const char* env = std::getenv("SPACEFUSION_CXX");
+  const std::string compiler = (env != nullptr && env[0] != '\0') ? env : "c++";
+  const std::string cmd = compiler + " " + flags + " " + extra + " -o \"" + out_path + "\" \"" +
+                          dir + "/kernel.cc\" 2> \"" + dir + "/stderr.txt\"";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  StatusOr<std::string> report = ReadFileToString(dir + "/stderr.txt");
+  return report.ok() ? report.value() : "";
+}
+
+// The host JIT flags first, then the baseline ones (the same on a host
+// without AVX2).
+std::vector<std::string> JitFlagSets() { return {JitCacheOptions().flags, kBaselineJitFlags}; }
+
+// The tile's accumulators live in registers for the whole k loop: built as
+// the JIT builds it, to assembly, the k loop of the full-width tile
+// (sf_mm_tile<4, 16, ...> with AVX, <2, 16, ...> without) multiplies and
+// adds packed vectors and has no stack operand, so nothing spills.
+TEST_F(TileMatMulTest, TileKLoopKeepsAccumulatorsInRegisters) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "checks x86-64 assembly";
 #endif
   const ScheduledProgram program = SinglePassProgram(BuildMatMulGraph(32, 48, 64, false, false));
   StatusOr<CppKernel> kernel = EmitCppKernel(program.kernels[0]);
   ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-  const std::string& src = kernel->source;
-  auto line_of = [&src](const std::string& text) {
-    const size_t at = src.find(text);
-    EXPECT_NE(at, std::string::npos) << text << " not in\n" << src;
-    return 1 + std::count(src.begin(), src.begin() + static_cast<long>(std::min(at, src.size())),
-                          '\n');
-  };
-  const long first = line_of("for (int64_t kk = 0; kk < KN; ++kk)");
-  const long last = line_of("acc[r][j] += av * bp[kk * 16 + j];");
+  for (const std::string& flags : JitFlagSets()) {
+    SCOPED_TRACE(flags);
+    const std::string asm_path = UniqueTestDir("tile-asm") + ".s";
+    CompileKernelSource(kernel->source, flags, "-S", asm_path);
+    StatusOr<std::string> assembly = ReadFileToString(asm_path);
+    ASSERT_TRUE(assembly.ok());
+    const bool avx = flags.find("-mavx") != std::string::npos;
+    const std::string tile = avx ? "10sf_mm_tileILi4ELi16E" : "10sf_mm_tileILi2ELi16E";
 
-  const std::string dir = UniqueTestDir("vec-report");
-  ASSERT_TRUE(AtomicWriteFile(dir + "/tile.cc", src).ok());
-  const char* env = std::getenv("SPACEFUSION_CXX");
-  const std::string compiler = (env != nullptr && env[0] != '\0') ? env : "c++";
-  const std::string cmd = compiler + " " + JitCacheOptions().flags +
-                          " -fopt-info-vec-optimized -o \"" + dir + "/tile.so\" \"" + dir +
-                          "/tile.cc\" 2> \"" + dir + "/report.txt\"";
-  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-  StatusOr<std::string> report = ReadFileToString(dir + "/report.txt");
-  ASSERT_TRUE(report.ok());
-  bool vectorized = false;
-  std::istringstream lines(report.value());
-  for (std::string l; std::getline(lines, l);) {
-    for (long line = first; line <= last; ++line) {
-      vectorized = vectorized || (l.find("tile.cc:" + std::to_string(line) + ":") !=
-                                      std::string::npos &&
-                                  l.find("vectorized") != std::string::npos);
+    // The tile's instructions, from its label to the end of its body.
+    std::vector<std::string> body;
+    std::istringstream lines(assembly.value());
+    bool in_tile = false;
+    for (std::string l; std::getline(lines, l);) {
+      if (!in_tile) {
+        in_tile = l.rfind("_Z", 0) == 0 && l.find(tile) != std::string::npos && l.back() == ':';
+      } else if (l.find(".cfi_endproc") != std::string::npos) {
+        break;
+      } else {
+        body.push_back(l);
+      }
     }
+    ASSERT_FALSE(body.empty()) << tile << " not in\n" << assembly.value();
+
+    // The k loop: the span from a label to the branch back to it that holds
+    // the multiplies.
+    std::vector<std::string> loop;
+    for (size_t end = 0; end < body.size() && loop.empty(); ++end) {
+      if (body[end].rfind("\tj", 0) != 0) {
+        continue;
+      }
+      const std::string label = body[end].substr(body[end].rfind('\t') + 1) + ":";
+      for (size_t begin = 0; begin < end; ++begin) {
+        if (body[begin] == label) {
+          std::vector<std::string> span(body.begin() + static_cast<long>(begin),
+                                        body.begin() + static_cast<long>(end) + 1);
+          const bool multiplies = std::any_of(span.begin(), span.end(), [](const std::string& x) {
+            return x.find("mulps") != std::string::npos;
+          });
+          if (multiplies) {
+            loop = span;
+          }
+        }
+      }
+    }
+    ASSERT_FALSE(loop.empty()) << "no backward branch over a mulps in " << tile;
+    std::string text;
+    for (const std::string& l : loop) {
+      text += l + "\n";
+    }
+    EXPECT_NE(text.find("mulps"), std::string::npos) << text;
+    EXPECT_NE(text.find("addps"), std::string::npos) << text;
+    EXPECT_EQ(text.find("(%rsp)"), std::string::npos) << "k loop touches the stack:\n" << text;
+    EXPECT_EQ(text.find("(%rbp)"), std::string::npos) << "k loop touches the stack:\n" << text;
   }
-  EXPECT_TRUE(vectorized) << "no line in " << first << "-" << last << " reported vectorized:\n"
-                          << report.value();
 }
 
 class JitCacheTest : public ::testing::Test {
@@ -684,6 +791,137 @@ TEST_F(JitCacheTest, MissingEntryWithCompileDisabledIsNotFound) {
   EXPECT_EQ(cache.stats().toolchain_invocations, 0);
 }
 
+// The default flags target the host's vector ISA and nothing that could
+// change a kernel's bits.
+TEST_F(JitCacheTest, DefaultFlagsTargetTheHostIsa) {
+  const std::string flags = JitCacheOptions().flags;
+  EXPECT_NE(flags.find("-ffp-contract=off"), std::string::npos) << flags;
+  for (const char* banned : {"-mfma", "-march", "-ffast-math"}) {
+    EXPECT_EQ(flags.find(banned), std::string::npos) << banned << " in " << flags;
+  }
+  bool avx2 = false;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  avx2 = __builtin_cpu_supports("avx2");
+#endif
+  EXPECT_EQ(flags.find("-mavx2") != std::string::npos, avx2) << flags;
+}
+
+// One kernel built under the host and the baseline flags is two entries:
+// both live in one directory, and a restarted cache with either flag set
+// loads its own .so without running the toolchain.
+TEST_F(JitCacheTest, HostAndBaselineBuildsAreSeparateEntries) {
+  if (JitCacheOptions().flags == kBaselineJitFlags) {
+    GTEST_SKIP() << "the host flags are the baseline flags";
+  }
+  const std::string dir = UniqueTestDir("isa");
+  CppKernel kernel = EmitOneKernel(BuildMatMulGraph(8, 20, 16, false, false));
+  JitCacheOptions host;
+  host.dir = dir;
+  JitCacheOptions baseline = host;
+  baseline.flags = kBaselineJitFlags;
+
+  std::uint64_t host_key = 0;
+  std::uint64_t baseline_key = 0;
+  {
+    JitKernelCache host_cache(host);
+    JitKernelCache baseline_cache(baseline);
+    StatusOr<JitKernelCache::Kernel> a = host_cache.GetOrBuild(kernel);
+    StatusOr<JitKernelCache::Kernel> b = baseline_cache.GetOrBuild(kernel);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_TRUE(a->built);
+    EXPECT_TRUE(b->built);
+    host_key = a->key;
+    baseline_key = b->key;
+  }
+  EXPECT_NE(host_key, baseline_key);
+
+  host.allow_compile = false;
+  baseline.allow_compile = false;
+  for (const auto& [options, key] : {std::make_pair(host, host_key),
+                                     std::make_pair(baseline, baseline_key)}) {
+    SCOPED_TRACE(options.flags);
+    char hex[20];
+    std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(key));
+    EXPECT_TRUE(ReadFileToString(dir + "/" + hex + ".sfk.so").ok());
+    JitKernelCache cache(options);
+    StatusOr<JitKernelCache::Kernel> loaded = cache.GetOrBuild(kernel);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(loaded->from_disk);
+    EXPECT_EQ(loaded->key, key);
+    EXPECT_EQ(cache.stats().toolchain_invocations, 0);
+  }
+}
+
+// The cache lock covers only the probe and the insert: while one thread's
+// cold build sits in a slow toolchain, another thread's memory hit returns
+// at once, and two threads asking for the same cold kernel run the
+// toolchain once.
+TEST_F(JitCacheTest, ColdBuildDoesNotBlockMemoryHits) {
+  const std::string dir = UniqueTestDir("slow-cxx");
+  const std::string gate = dir + "/gate";
+  const std::string started = dir + "/started";
+  const char* env = std::getenv("SPACEFUSION_CXX");
+  const std::string real = (env != nullptr && env[0] != '\0') ? env : "c++";
+  // A compiler that, while the gate file exists, waits (up to 20 s) before
+  // running the real one.
+  const std::string script = dir + "/slow-cxx.sh";
+  ASSERT_TRUE(AtomicWriteFile(script, "#!/bin/sh\n"
+                                      "touch '" + started + "'\n"
+                                      "i=0\n"
+                                      "while [ -f '" + gate + "' ] && [ $i -lt 400 ]; do\n"
+                                      "  sleep 0.05; i=$((i + 1))\n"
+                                      "done\n"
+                                      "exec " + real + " \"$@\"\n")
+                  .ok());
+  std::filesystem::permissions(script, std::filesystem::perms::owner_all);
+  auto exists = [](const std::string& path) { return std::filesystem::exists(path); };
+
+  JitCacheOptions options;
+  options.dir = dir + "/cache";
+  options.compiler = script;
+  JitKernelCache cache(options);
+  const CppKernel warm = EmitOneKernel(BuildLayerNormGraph(8, 16));
+  const CppKernel cold = EmitOneKernel(BuildLayerNormGraph(12, 16));
+  const CppKernel shared = EmitOneKernel(BuildLayerNormGraph(16, 16));
+  ASSERT_TRUE(cache.GetOrBuild(warm).ok());
+
+  ASSERT_TRUE(AtomicWriteFile(gate, "").ok());
+  std::remove(started.c_str());
+  std::vector<StatusOr<JitKernelCache::Kernel>> results(3, Internal("not run"));
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { results[0] = cache.GetOrBuild(cold); });
+  for (int t = 1; t <= 2; ++t) {
+    threads.emplace_back([&, t] { results[static_cast<size_t>(t)] = cache.GetOrBuild(shared); });
+  }
+  for (int i = 0; i < 400 && !exists(started); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  const bool build_started = exists(started);
+
+  const auto begin = std::chrono::steady_clock::now();
+  StatusOr<JitKernelCache::Kernel> hit = cache.GetOrBuild(warm);
+  const double hit_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - begin).count();
+  const bool gate_still_closed = exists(gate);
+  std::remove(gate.c_str());
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  ASSERT_TRUE(build_started) << "no build reached the toolchain";
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_TRUE(gate_still_closed);
+  EXPECT_LT(hit_ms, 500.0) << "a memory hit waited for another kernel's build";
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  EXPECT_EQ(results[1]->fn, results[2]->fn);
+  EXPECT_EQ(cache.stats().toolchain_invocations, 3);  // warm, cold, shared once
+  EXPECT_EQ(cache.stats().builds, 3);
+  EXPECT_EQ(cache.stats().memory_hits, 2);  // the timed hit and one shared rider
+}
+
 class CppCodegenTest : public ::testing::Test {
  protected:
   void TearDown() override { ResetGlobalThreadPool(); }
@@ -697,6 +935,55 @@ TEST_F(CppCodegenTest, EmissionIsDeterministic) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value(), second.value());
+}
+
+// Element-wise loops vectorize under the JIT flags: the bias add of a
+// linear layer (matmul + add) is reported vectorized at both vector widths.
+// Reductions stay scalar on purpose (vectorizing them would reassociate
+// their sums), so they are not checked.
+TEST_F(CppCodegenTest, ElementwiseLoopIsReportedVectorized) {
+#if defined(__clang__)
+  GTEST_SKIP() << "-fopt-info-vec-optimized is a GCC report";
+#endif
+  GraphBuilder b("linear");
+  TensorId x = b.Input("x", Shape({32, 768}));
+  TensorId w = b.Weight("w", Shape({768, 768}));
+  TensorId bias = b.Weight("bias", Shape({768}));
+  b.MarkOutput(b.Linear(x, w, bias));
+  const ScheduledProgram program = SinglePassProgram(b.Build());
+  ASSERT_EQ(program.kernels.size(), 1u);
+  StatusOr<CppKernel> kernel = EmitCppKernel(program.kernels[0]);
+  ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+  const std::string& src = kernel->source;
+  ASSERT_NE(src.find("sf_matmul<"), std::string::npos) << src;
+
+  // The add's loop nest: from its "binary" comment to the next op or the
+  // kernel's return.
+  const size_t add = src.find(": binary ->");
+  ASSERT_NE(add, std::string::npos) << src;
+  const size_t next = std::min(src.find("// op", add + 1), src.find("return 0;", add));
+  auto line_of = [&src](size_t at) {
+    return 1 + std::count(src.begin(), src.begin() + static_cast<long>(at), '\n');
+  };
+  const long first = line_of(add) + 1;
+  const long last = line_of(next) - 1;
+
+  for (const std::string& flags : JitFlagSets()) {
+    SCOPED_TRACE(flags);
+    const std::string report = CompileKernelSource(src, flags, "-fopt-info-vec-optimized",
+                                                   UniqueTestDir("vec-report") + ".so");
+    bool vectorized = false;
+    std::istringstream lines(report);
+    for (std::string l; std::getline(lines, l);) {
+      for (long line = first; line <= last; ++line) {
+        vectorized = vectorized || (l.find("kernel.cc:" + std::to_string(line) + ":") !=
+                                        std::string::npos &&
+                                    l.find("vectorized") != std::string::npos);
+      }
+    }
+    EXPECT_TRUE(vectorized) << "no line in " << first << "-" << last << " reported vectorized:\n"
+                            << report << "\n" << src;
+  }
 }
 
 TEST_F(CppCodegenTest, BakesShapesAsConstants) {
