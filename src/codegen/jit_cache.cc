@@ -179,7 +179,7 @@ StatusOr<JitKernelCache::Loaded> JitKernelCache::LoadOrBuild(const CppKernel& ke
 
 StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& kernel) {
   const std::uint64_t entry_key = EntryKey(kernel);
-  auto callable = [entry_key](const Loaded& loaded) {
+  auto as_kernel = [entry_key](const Loaded& loaded) {
     Kernel result;
     result.fn = loaded.fn;
     result.scratch_floats = loaded.scratch_floats;
@@ -197,7 +197,7 @@ StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& ker
     if (it != loaded_.end()) {
       ++stats_.memory_hits;
       SF_COUNTER_ADD("jit.cache.hits", 1);
-      return callable(it->second);
+      return as_kernel(it->second);
     }
     auto in_flight = in_flight_.find(entry_key);
     if (in_flight != in_flight_.end()) {
@@ -211,7 +211,7 @@ StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& ker
     MutexLock lock(mu_);
     ++stats_.memory_hits;
     SF_COUNTER_ADD("jit.cache.hits", 1);
-    return callable(loaded_.at(entry_key));
+    return as_kernel(loaded_.at(entry_key));
   }
 
   SF_COUNTER_ADD("jit.cache.misses", 1);
@@ -232,7 +232,7 @@ StatusOr<JitKernelCache::Kernel> JitKernelCache::GetOrBuild(const CppKernel& ker
   }
   outcome.set_value(loaded.status());
   SF_RETURN_IF_ERROR(loaded.status());
-  Kernel result = callable(loaded.value());
+  Kernel result = as_kernel(loaded.value());
   result.built = counts.builds > 0;
   result.from_disk = counts.disk_hits > 0;
   return result;
